@@ -3,9 +3,10 @@
 Subcommands: `generate` (synthetic dataset in manifest format), `sweep`
 (full experiment grid to JSON-lines + CSV), `report` (re-render results with
 error-rate improvements and the calibration table), and `calibrate`
-(|M|=1 calibration measurement only). Configuration is an INI file whose
-defaults are all pre-filled; flags override the seed and trial count. Every
-output is deterministic given config + seed.
+(|M|=1 calibration measurement only). Configuration is an INI file laid
+over the packaged default.ini, which also fixes the allowed sections and
+keys; flags override the seed and trial count. Every output is
+deterministic given config + seed.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ import argparse
 import configparser
 import logging
 import sys
-from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from pairbag.data import SyntheticSpec, generate_synthetic, save_manifest
 from pairbag.harness import (
+    ARMS,
     CellSummary,
     ExperimentSpec,
-    ImprovementRow,
     SUMMARY_COLUMNS,
     SweepSummary,
-    error_rate_improvement,
+    improvement_rows,
     load_reports_jsonl,
     run_experiment,
     summarize,
@@ -32,63 +33,10 @@ from pairbag.harness import (
     write_reports_jsonl,
     write_summary_csv,
 )
+from pairbag.learner import TrainingError
 from pairbag.optimize import TrainConfig
 
 log = logging.getLogger("pairbag")
-
-DEFAULT_INI = """
-[data]
-d = 16
-n_pos = 200
-n_neg = 2000
-separation = 8.0
-noise_scale = 1.0
-manifest =
-
-[model]
-extractor_hidden = 128, 64
-head_hidden = 128
-
-[train]
-learning_rate = 0.001
-alpha = 0.1
-temperature = 0.0
-adam_beta1 = 0.9
-adam_beta2 = 0.999
-adam_eps = 1e-8
-
-[budgets]
-scratch_5 = 100
-scratch_50 = 130
-transfer_5 = 20
-transfer_50 = 50
-
-[experiment]
-k_shots = 5, 50
-ensemble_sizes = 1, 5, 10, 15, 20
-arms = scratch, transfer
-trials = 200
-test_fraction = 0.3
-seed = 2024
-pretrain_budget = 300
-source_size = 1000
-source_tasks = 16
-"""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed command-line state shared by the subcommands."""
-
-    subcommand: str
-    config_path: str | None
-    out_dir: Path
-    workers: int
-    verbosity: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _positive_int(text: str) -> int:
@@ -99,12 +47,33 @@ def _positive_int(text: str) -> int:
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    """Built-in defaults, overlaid with the user's INI file when given."""
+    """The packaged default.ini, overlaid with the user's INI file when given.
+
+    default.ini is the schema: a section or key it does not list is an
+    error, except that [budgets] takes any <arm>_<k> key with arm in ARMS
+    and k a positive integer.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(DEFAULT_INI)
+    parser.read_string(resources.files("pairbag").joinpath("default.ini").read_text())
+    schema = {section: set(parser[section]) for section in parser.sections()}
     if path is not None:
         with open(path) as handle:
             parser.read_file(handle)
+    if parser.defaults():
+        raise ValueError(f"unknown key(s) in [DEFAULT]: {', '.join(parser.defaults())}")
+    for section in parser.sections():
+        if section not in schema:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if section == "budgets":
+                arm, _, k = key.rpartition("_")
+                if arm not in ARMS or not k.isdecimal() or int(k) < 1:
+                    raise ValueError(
+                        f"bad key {key!r} in [budgets]: expected <arm>_<k> with arm "
+                        f"in {', '.join(ARMS)} and k a positive integer"
+                    )
+            elif key not in schema[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
     return parser
 
 
@@ -120,10 +89,20 @@ def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]
     rows = []
     for key, value in cfg.items("budgets"):
         arm, _, k = key.rpartition("_")
-        if not arm:
-            raise ValueError(f"budget key {key!r} is not of the form <arm>_<k>")
         rows.append((arm, int(k), int(value)))
     return tuple(sorted(rows))
+
+
+def _synthetic_spec(cfg: configparser.ConfigParser, seed: int) -> SyntheticSpec:
+    data = cfg["data"]
+    return SyntheticSpec(
+        d=data.getint("d"),
+        n_pos=data.getint("n_pos"),
+        n_neg=data.getint("n_neg"),
+        separation=data.getfloat("separation"),
+        noise_scale=data.getfloat("noise_scale"),
+        seed=seed,
+    )
 
 
 def build_spec(
@@ -134,27 +113,9 @@ def build_spec(
     """Translate an INI config (plus flag overrides) into an ExperimentSpec."""
     exp = cfg["experiment"]
     master_seed = seed if seed is not None else exp.getint("seed")
-    manifest = cfg.get("data", "manifest", fallback="").strip()
-    if manifest:
-        source: SyntheticSpec | str = manifest
-    else:
-        source = SyntheticSpec(
-            d=cfg.getint("data", "d"),
-            n_pos=cfg.getint("data", "n_pos"),
-            n_neg=cfg.getint("data", "n_neg"),
-            separation=cfg.getfloat("data", "separation"),
-            noise_scale=cfg.getfloat("data", "noise_scale"),
-            seed=master_seed,
-        )
-    train = TrainConfig(
-        iterations=0,
-        learning_rate=cfg.getfloat("train", "learning_rate"),
-        alpha=cfg.getfloat("train", "alpha"),
-        temperature=cfg.getfloat("train", "temperature"),
-        adam_beta1=cfg.getfloat("train", "adam_beta1"),
-        adam_beta2=cfg.getfloat("train", "adam_beta2"),
-        adam_eps=cfg.getfloat("train", "adam_eps"),
-    )
+    manifest = cfg.get("data", "manifest").strip()
+    source = manifest if manifest else _synthetic_spec(cfg, master_seed)
+    train = cfg["train"]
     return ExperimentSpec(
         source=source,
         k_shots=_int_list(exp["k_shots"]),
@@ -163,8 +124,14 @@ def build_spec(
         trials=trials if trials is not None else exp.getint("trials"),
         test_fraction=exp.getfloat("test_fraction"),
         seed=master_seed,
-        scratch_config=train,
-        transfer_config=train,
+        train=TrainConfig(
+            iterations=0,
+            learning_rate=train.getfloat("learning_rate"),
+            alpha=train.getfloat("alpha"),
+            adam_beta1=train.getfloat("adam_beta1"),
+            adam_beta2=train.getfloat("adam_beta2"),
+            adam_eps=train.getfloat("adam_eps"),
+        ),
         budgets=_budgets(cfg),
         extractor_hidden=_int_list(cfg.get("model", "extractor_hidden")),
         head_hidden=cfg.getint("model", "head_hidden"),
@@ -259,71 +226,18 @@ def load_summary_csv(path: Path) -> SweepSummary:
             )
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    summary = SweepSummary(cells=tuple(cells), improvements=())
-    return SweepSummary(cells=tuple(cells), improvements=_improvements_from_cells(summary))
-
-
-def _improvements_from_cells(summary: SweepSummary) -> tuple[ImprovementRow, ...]:
-    arms = sorted({c.arm for c in summary.cells})
-    ks = sorted({c.k for c in summary.cells})
-    sizes = sorted({c.ensemble_size for c in summary.cells})
-    rows = []
-    if sizes[0] != sizes[-1]:
-        for arm in arms:
-            for k in ks:
-                base = summary.cell(arm, k, sizes[0])
-                best = summary.cell(arm, k, sizes[-1])
-                if base.mean_error > 0.0:
-                    rows.append(
-                        ImprovementRow(
-                            kind="ensemble",
-                            arm=arm,
-                            k=k,
-                            from_size=sizes[0],
-                            to_size=sizes[-1],
-                            improvement=error_rate_improvement(
-                                best.mean_error, base.mean_error
-                            ),
-                        )
-                    )
-    if "scratch" in arms and "transfer" in arms:
-        for k in ks:
-            for m in sizes:
-                base = summary.cell("scratch", k, m)
-                new = summary.cell("transfer", k, m)
-                if base.mean_error > 0.0:
-                    rows.append(
-                        ImprovementRow(
-                            kind="transfer",
-                            arm="transfer",
-                            k=k,
-                            from_size=m,
-                            to_size=m,
-                            improvement=error_rate_improvement(
-                                new.mean_error, base.mean_error
-                            ),
-                        )
-                    )
-    return tuple(rows)
+    return SweepSummary(cells=tuple(cells), improvements=improvement_rows(cells))
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_generate(cli: CliConfig, args: argparse.Namespace) -> int:
-    cfg = load_config(cli.config_path)
+def cmd_generate(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.getint("experiment", "seed")
-    spec = SyntheticSpec(
-        d=cfg.getint("data", "d"),
-        n_pos=cfg.getint("data", "n_pos"),
-        n_neg=cfg.getint("data", "n_neg"),
-        separation=cfg.getfloat("data", "separation"),
-        noise_scale=cfg.getfloat("data", "noise_scale"),
-        seed=seed,
-    )
-    dataset = generate_synthetic(spec)
-    cli.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = save_manifest(dataset, cli.out_dir)
+    dataset = generate_synthetic(_synthetic_spec(cfg, seed))
+    args.out.mkdir(parents=True, exist_ok=True)
+    manifest = save_manifest(dataset, args.out)
     print(
         f"wrote {len(dataset)} pairs ({len(dataset.positives)} positive, "
         f"{len(dataset.negatives)} negative, d={dataset.dim}) to {manifest}"
@@ -331,33 +245,33 @@ def cmd_generate(cli: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(cli: CliConfig, args: argparse.Namespace) -> int:
-    cfg = load_config(cli.config_path)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     spec = build_spec(cfg, seed=args.seed, trials=args.trials)
     log.info(
         "sweep: %d arms x %d k x %d sizes x %d trials",
         len(spec.arms), len(spec.k_shots), len(spec.ensemble_sizes), spec.trials,
     )
-    reports = run_experiment(spec, workers=cli.workers)
+    reports = run_experiment(spec, workers=args.workers)
     summary = summarize(reports)
-    cli.out_dir.mkdir(parents=True, exist_ok=True)
-    write_reports_jsonl(reports, cli.out_dir / "results.jsonl")
-    write_summary_csv(summary, cli.out_dir / "summary.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_reports_jsonl(reports, args.out / "results.jsonl")
+    write_summary_csv(summary, args.out / "summary.csv")
     print(render_cell_table(summary))
     print()
     for row in summary.improvements:
         print(row.describe())
-    print(f"\nwrote {cli.out_dir / 'results.jsonl'} and {cli.out_dir / 'summary.csv'}")
+    print(f"\nwrote {args.out / 'results.jsonl'} and {args.out / 'summary.csv'}")
     return 0
 
 
-def cmd_report(cli: CliConfig, args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     results = Path(args.results)
     if results.suffix == ".csv":
         summary = load_summary_csv(results)
     else:
         summary = summarize(load_reports_jsonl(results))
-    out_dir = cli.out_dir if args.out is not None else results.parent
+    out_dir = args.out if args.out is not None else results.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report_cells.csv").write_text(summary_csv(summary))
     (out_dir / "report_improvements.csv").write_text(improvements_csv(summary))
@@ -370,23 +284,23 @@ def cmd_report(cli: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_calibrate(cli: CliConfig, args: argparse.Namespace) -> int:
-    cfg = load_config(cli.config_path)
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     cfg.set("experiment", "ensemble_sizes", "1")
     spec = build_spec(cfg, seed=args.seed, trials=args.trials)
-    reports = run_experiment(spec, workers=cli.workers)
+    reports = run_experiment(spec, workers=args.workers)
     summary = summarize(reports)
-    cli.out_dir.mkdir(parents=True, exist_ok=True)
-    write_reports_jsonl(reports, cli.out_dir / "calibration.jsonl")
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_reports_jsonl(reports, args.out / "calibration.jsonl")
     lines = ["arm,k,mean_rms,std_rms,mean_mad,std_mad"]
     for c in summary.cells:
         lines.append(
             f"{c.arm},{c.k},{c.mean_rms_cal!r},{c.std_rms_cal!r},"
             f"{c.mean_mad_cal!r},{c.std_mad_cal!r}"
         )
-    (cli.out_dir / "calibration.csv").write_text("\n".join(lines) + "\n")
+    (args.out / "calibration.csv").write_text("\n".join(lines) + "\n")
     print(render_calibration_table(summary))
-    print(f"\nwrote {cli.out_dir / 'calibration.jsonl'} and {cli.out_dir / 'calibration.csv'}")
+    print(f"\nwrote {args.out / 'calibration.jsonl'} and {args.out / 'calibration.csv'}")
     return 0
 
 
@@ -397,16 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, out_default: str) -> None:
+    def common(p: argparse.ArgumentParser, out_default: str | None) -> None:
         p.add_argument("--config", help="INI config file (defaults are built in)")
-        p.add_argument("--out", help=f"output directory (default: {out_default})")
+        p.add_argument("--out", type=Path, default=out_default,
+                       help=f"output directory (default: {out_default or 'beside --results'})")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel trial workers (default: 1)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--trials", type=_positive_int, help="override the trial count")
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="increase log verbosity")
-        p.set_defaults(out_default=out_default)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset in manifest format")
     common(p_gen, "dataset")
@@ -417,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("report", help="render results as tables and CSV")
-    common(p_rep, "results")
+    common(p_rep, None)
     p_rep.add_argument("--results", required=True,
                        help="results.jsonl from sweep, or a summary CSV")
     p_rep.set_defaults(func=cmd_report)
@@ -433,15 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        cli = CliConfig(
-            subcommand=args.subcommand,
-            config_path=args.config,
-            out_dir=Path(args.out if args.out is not None else args.out_default),
-            workers=args.workers,
-            verbosity=args.verbose,
-        )
-        return args.func(cli, args)
-    except (ValueError, OSError) as exc:
+        return args.func(args)
+    except (ValueError, OSError, configparser.Error, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,9 +67,10 @@ def default_benchmark(
 class ExperimentSpec:
     """Everything needed to rerun an experiment bit-for-bit.
 
-    source is a SyntheticSpec or a manifest path. extractor_hidden are the
-    extractor's hidden widths between the input and feature layers; budgets
-    are (arm, k, iterations) triples, looked up by nearest k per arm.
+    source is a SyntheticSpec or a manifest path. train holds both arms'
+    hyperparameters; its iterations and seed are set per trial. extractor_hidden
+    are the extractor's hidden widths between the input and feature layers;
+    budgets are (arm, k, iterations) triples, looked up by nearest k per arm.
     """
 
     source: SyntheticSpec | str
@@ -79,8 +80,7 @@ class ExperimentSpec:
     trials: int = 200
     test_fraction: float = 0.3
     seed: int = 0
-    scratch_config: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=0))
-    transfer_config: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=0))
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=0))
     budgets: tuple[tuple[str, int, int], ...] = DEFAULT_BUDGETS
     extractor_hidden: tuple[int, ...] = (128, 64)
     head_hidden: int = 128
@@ -116,13 +116,6 @@ class ExperimentSpec:
     def topology(self, input_dim: int) -> SiameseTopology:
         sizes = (input_dim,) + self.extractor_hidden
         return SiameseTopology(extractor_sizes=sizes, head_hidden=self.head_hidden)
-
-    def arm_config(self, arm: str) -> TrainConfig:
-        if arm == "scratch":
-            return self.scratch_config
-        if arm == "transfer":
-            return self.transfer_config
-        raise ValueError(f"unknown arm {arm!r}")
 
     def iteration_budget(self, arm: str, k: int) -> int:
         """Budget for the nearest tabulated k on this arm (ties: smaller k)."""
@@ -398,10 +391,9 @@ def run_trial(
     plan = make_chunk_plan(ctx.train, k, derive_seed(trial_seed, PLAN_STREAM))
     assignment = assign_chunks(plan, m, derive_seed(trial_seed, ASSIGN_STREAM))
 
-    budget = spec.iteration_budget(arm, k)
     config = dataclasses.replace(
-        spec.arm_config(arm),
-        iterations=budget,
+        spec.train,
+        iterations=spec.iteration_budget(arm, k),
         seed=derive_seed(trial_seed, TRAIN_STREAM),
     )
     ensemble = train_ensemble(
@@ -553,46 +545,50 @@ def summarize(reports: list[TrialReport]) -> SweepSummary:
                     )
                 )
 
-    summary = SweepSummary(cells=tuple(cells), improvements=())
-    improvements = []
-    m_low, m_high = sizes[0], sizes[-1]
-    if m_low != m_high:
-        for arm in arms:
-            for k in ks:
-                base = summary.cell(arm, k, m_low)
-                best = summary.cell(arm, k, m_high)
-                if base.mean_error > 0.0:
-                    improvements.append(
-                        ImprovementRow(
-                            kind="ensemble",
-                            arm=arm,
-                            k=k,
-                            from_size=m_low,
-                            to_size=m_high,
-                            improvement=error_rate_improvement(
-                                best.mean_error, base.mean_error
-                            ),
-                        )
-                    )
+    return SweepSummary(cells=tuple(cells), improvements=improvement_rows(cells))
+
+
+def improvement_rows(cells: list[CellSummary]) -> tuple[ImprovementRow, ...]:
+    """Ensemble-gain and transfer-gain rows over a full grid of cells.
+
+    Ensemble rows compare the smallest and largest |M| per arm and k;
+    transfer rows compare scratch with transfer per k and |M|. A baseline
+    cell with zero error gives no row.
+    """
+    grid = SweepSummary(cells=tuple(cells), improvements=())
+    arms = sorted({c.arm for c in cells})  # scratch before transfer
+    ks = sorted({c.k for c in cells})
+    sizes = sorted({c.ensemble_size for c in cells})
+    pairs = []  # (kind, arm, k, baseline cell key, compared cell key)
+    if sizes[0] != sizes[-1]:
+        pairs += [
+            ("ensemble", arm, k, (arm, k, sizes[0]), (arm, k, sizes[-1]))
+            for arm in arms
+            for k in ks
+        ]
     if "scratch" in arms and "transfer" in arms:
-        for k in ks:
-            for m in sizes:
-                base = summary.cell("scratch", k, m)
-                new = summary.cell("transfer", k, m)
-                if base.mean_error > 0.0:
-                    improvements.append(
-                        ImprovementRow(
-                            kind="transfer",
-                            arm="transfer",
-                            k=k,
-                            from_size=m,
-                            to_size=m,
-                            improvement=error_rate_improvement(
-                                new.mean_error, base.mean_error
-                            ),
-                        )
-                    )
-    return SweepSummary(cells=tuple(cells), improvements=tuple(improvements))
+        pairs += [
+            ("transfer", "transfer", k, ("scratch", k, m), ("transfer", k, m))
+            for k in ks
+            for m in sizes
+        ]
+    rows = []
+    for kind, arm, k, old, new in pairs:
+        base = grid.cell(*old)
+        if base.mean_error > 0.0:
+            rows.append(
+                ImprovementRow(
+                    kind=kind,
+                    arm=arm,
+                    k=k,
+                    from_size=old[2],
+                    to_size=new[2],
+                    improvement=error_rate_improvement(
+                        grid.cell(*new).mean_error, base.mean_error
+                    ),
+                )
+            )
+    return tuple(rows)
 
 
 # --- results files -----------------------------------------------------------

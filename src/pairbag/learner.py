@@ -14,7 +14,7 @@ source task and then frozen, standing in for large-corpus pretraining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,21 +278,37 @@ def init_bound(fan_in: int) -> float:
     return float(INIT_GAIN / np.sqrt(fan_in))
 
 
+def _init_weights(
+    topology: SiameseTopology, seed: int, extractor: np.ndarray | None = None
+) -> np.ndarray:
+    """Flat fan-in-uniform weights: per layer W, then b, in layer order.
+
+    With `extractor`, those weights fill the extractor slice and only the
+    head layers are drawn, from the same one rng stream seeded by `seed`.
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.empty(topology.param_count)
+    shapes = topology.layer_shapes()
+    offset = 0
+    if extractor is not None:
+        offset = topology.extractor_param_count
+        weights[:offset] = extractor
+        shapes = shapes[len(topology.extractor_sizes) - 1 :]
+    for out, inp in shapes:
+        bound = init_bound(inp)
+        for size in (out * inp, out):
+            weights[offset : offset + size] = rng.uniform(-bound, bound, size)
+            offset += size
+    return weights
+
+
 def init_scratch(topology: SiameseTopology, seed: int) -> BaseModel:
     """Fresh model with scaled-uniform fan-in init: U(-sqrt(6/fan_in), +).
 
     Per layer, W is drawn first and then b, both from the same bound, in
     layer order; deterministic given the seed.
     """
-    rng = np.random.default_rng(seed)
-    weights = np.empty(topology.param_count)
-    offset = 0
-    for out, inp in topology.layer_shapes():
-        bound = init_bound(inp)
-        weights[offset : offset + out * inp] = rng.uniform(-bound, bound, out * inp)
-        offset += out * inp
-        weights[offset : offset + out] = rng.uniform(-bound, bound, out)
-        offset += out
+    weights = _init_weights(topology, seed)
     return BaseModel(topology=topology, weights=weights, init_mode="scratch")
 
 
@@ -309,18 +325,7 @@ def init_transfer(
             f"pretrained extractor sizes {pretrained.extractor_sizes} do not match "
             f"topology {topology.extractor_sizes}"
         )
-    rng = np.random.default_rng(seed)
-    weights = np.empty(topology.param_count)
-    n_ext_params = topology.extractor_param_count
-    weights[:n_ext_params] = pretrained.weights
-    offset = n_ext_params
-    n_ext = len(topology.extractor_sizes) - 1
-    for out, inp in topology.layer_shapes()[n_ext:]:
-        bound = init_bound(inp)
-        weights[offset : offset + out * inp] = rng.uniform(-bound, bound, out * inp)
-        offset += out * inp
-        weights[offset : offset + out] = rng.uniform(-bound, bound, out)
-        offset += out
+    weights = _init_weights(topology, seed, extractor=pretrained.weights)
     return BaseModel(topology=topology, weights=weights, init_mode="transfer")
 
 
@@ -379,25 +384,12 @@ def fine_tune(
 
 
 def train_source_model(
-    source: PairDataset, topology: SiameseTopology, budget: int, seed: int,
-    config: TrainConfig | None = None,
+    source: PairDataset, topology: SiameseTopology, budget: int, seed: int
 ) -> BaseModel:
     """Train a scratch model on the whole source dataset for `budget` steps."""
     if len(source) == 0:
         raise ValueError("source dataset is empty")
-    if config is None:
-        config = TrainConfig(iterations=budget, seed=seed)
-    else:
-        config = TrainConfig(
-            iterations=budget,
-            learning_rate=config.learning_rate,
-            alpha=config.alpha,
-            temperature=config.temperature,
-            adam_beta1=config.adam_beta1,
-            adam_beta2=config.adam_beta2,
-            adam_eps=config.adam_eps,
-            seed=seed,
-        )
+    config = TrainConfig(iterations=budget, seed=seed)
     model = init_scratch(topology, seed)
     weights, _ = _train_weights(
         model, source.pre, source.post, source.labels, config, head_only=False

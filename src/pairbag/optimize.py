@@ -18,16 +18,11 @@ SCORE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one base-model training run.
-
-    `temperature` is carried for config fidelity but is inert: no
-    temperature scaling is applied anywhere.
-    """
+    """Hyperparameters for one base-model training run."""
 
     iterations: int
     learning_rate: float = 0.001
     alpha: float = 0.1
-    temperature: float = 0.0
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8

@@ -29,7 +29,6 @@ import numpy as np
 
 from pairbag.data import KShotDraw, PairDataset
 from pairbag.ensemble import Ensemble
-from pairbag.harness import TrialReport
 from pairbag.learner import BaseModel, PretrainedExtractor, SiameseTopology
 from pairbag.partition import ChunkAssignment, ChunkPlan
 
@@ -43,7 +42,7 @@ KIND_PLAN = 2
 KIND_ASSIGNMENT = 3
 KIND_MODEL = 4
 KIND_ENSEMBLE = 5
-KIND_RESULTS = 6
+# Kind 6 (retired trial-report lists) stays reserved: an old file is refused, not misread.
 KIND_EXTRACTOR = 7
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
@@ -220,22 +219,12 @@ def _decode_ensemble(meta, arrays) -> Ensemble:
     return Ensemble(models=models, assignment=assignment, draw=draw, seed=int(meta["seed"]))
 
 
-def _encode_results(reports: list[TrialReport]):
-    meta = {"reports": [r.to_record() for r in reports]}
-    return KIND_RESULTS, 0, meta, []
-
-
-def _decode_results(meta, arrays) -> list[TrialReport]:
-    return [TrialReport.from_record(r) for r in meta["reports"]]
-
-
 _DECODERS = {
     KIND_DATASET: _decode_dataset,
     KIND_PLAN: _decode_plan,
     KIND_ASSIGNMENT: _decode_assignment,
     KIND_MODEL: _decode_model,
     KIND_ENSEMBLE: _decode_ensemble,
-    KIND_RESULTS: _decode_results,
     KIND_EXTRACTOR: _decode_extractor,
 }
 
@@ -253,8 +242,6 @@ def _encode(artifact):
         return _encode_extractor(artifact)
     if isinstance(artifact, Ensemble):
         return _encode_ensemble(artifact)
-    if isinstance(artifact, list) and all(isinstance(r, TrialReport) for r in artifact):
-        return _encode_results(artifact)
     raise PersistError(f"cannot serialize object of type {type(artifact).__name__}")
 
 

@@ -209,3 +209,44 @@ class TestCalibrate:
             parts = line.split(",")
             for value in parts[2:]:
                 assert repr(float(value)) == value
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("experiment", "trails = 3", "unknown key 'trails' in [experiment]"),
+            ("extra", "key = 1", "unknown config section [extra]"),
+            ("budgets", "baseline_5 = 10", "bad key 'baseline_5' in [budgets]"),
+            ("budgets", "scratch_x = 5", "bad key 'scratch_x' in [budgets]"),
+            ("DEFAULT", "seed = 1", "unknown key(s) in [DEFAULT]: seed"),
+        ],
+    )
+    def test_unknown_section_or_key_is_rejected(
+        self, tmp_path, capsys, section, line, message
+    ):
+        header = f"[{section}]\n"
+        if header in TINY_INI:
+            text = TINY_INI.replace(header, header + line + "\n")
+        else:
+            text = TINY_INI + header + line + "\n"
+        path = tmp_path / "typo.ini"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_section_header(self, tmp_path, capsys):
+        path = tmp_path / "headless.ini"
+        path.write_text("d = 3\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training(self, tmp_path, capsys):
+        path = tmp_path / "diverge.ini"
+        path.write_text(TINY_INI + "[train]\nlearning_rate = 1e200\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err

@@ -119,13 +119,6 @@ class TestExperimentSpec:
         assert t.extractor_sizes == (3, 6, 4)
         assert t.head_hidden == 6
 
-    def test_arm_config_selection(self):
-        spec = tiny_spec()
-        assert spec.arm_config("scratch") is spec.scratch_config
-        assert spec.arm_config("transfer") is spec.transfer_config
-        with pytest.raises(ValueError, match="unknown arm"):
-            spec.arm_config("baseline")
-
     def test_validation_errors(self):
         source = SyntheticSpec(d=2, n_pos=5, n_neg=20, separation=1.0, noise_scale=1.0, seed=0)
         with pytest.raises(ValueError, match="trials"):

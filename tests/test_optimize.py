@@ -20,7 +20,6 @@ class TestTrainConfig:
         cfg = TrainConfig(iterations=10)
         assert cfg.learning_rate == 0.001
         assert cfg.alpha == 0.1
-        assert cfg.temperature == 0.0
         assert cfg.adam_beta1 == 0.9 and cfg.adam_beta2 == 0.999
         assert cfg.adam_eps == 1e-8
 

@@ -135,12 +135,6 @@ class TestRoundTrips:
             predict_score(loaded, pre, post), predict_score(ens, pre, post)
         )
 
-    def test_results(self, tmp_path):
-        reports = trial_reports()
-        path = save(reports, tmp_path / "results.rbag")
-        loaded = load(path)
-        assert loaded == reports
-
     def test_round_trip_bytes_are_stable(self):
         """Serializing a reloaded artifact yields the original bytes."""
         model = init_scratch(topology(), 8)
@@ -154,6 +148,9 @@ class TestRejections:
             to_bytes({"weights": [1, 2, 3]})
 
     def test_mixed_results_list(self):
+        """Trial reports are written as JSONL only; no list is an artifact."""
+        with pytest.raises(PersistError, match="cannot serialize"):
+            to_bytes(trial_reports())
         with pytest.raises(PersistError, match="cannot serialize"):
             to_bytes(trial_reports() + ["not a report"])
 
@@ -185,11 +182,15 @@ class TestRejections:
             from_bytes(data[:-4])
 
     def test_unknown_kind(self):
-        """A valid container with an unregistered kind id is refused."""
-        data = bytearray(to_bytes(init_scratch(topology(), 1)))
-        data[6:8] = struct.pack("<H", 99)
-        with pytest.raises(PersistError, match="unknown artifact kind 99"):
-            from_bytes(bytes(data))
+        """A valid container with an unregistered kind id is refused.
+
+        Kind 6 (retired trial-report lists) stays reserved and unknown.
+        """
+        for kind in (99, 6):
+            data = bytearray(to_bytes(init_scratch(topology(), 1)))
+            data[6:8] = struct.pack("<H", kind)
+            with pytest.raises(PersistError, match=f"unknown artifact kind {kind}"):
+                from_bytes(bytes(data))
 
     def test_unsupported_dtype_in_manifest(self):
         doc = {"meta": {}, "arrays": [{"name": "x", "dtype": "<f4", "shape": [1]}]}
