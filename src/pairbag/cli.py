@@ -5,8 +5,8 @@ Subcommands: `generate` (synthetic dataset in manifest format), `sweep`
 error-rate improvements and the calibration table), and `calibrate`
 (|M|=1 calibration measurement only). Configuration is an INI file laid
 over the packaged default.ini, which also fixes the allowed sections and
-keys; flags override the seed and trial count. Every output is
-deterministic given config + seed.
+keys; flags override the seed and trial count. Each subcommand takes only
+the flags it reads. Every output is deterministic given config + seed.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from pathlib import Path
 from pairbag.data import SyntheticSpec, generate_synthetic, save_manifest
 from pairbag.harness import (
     ARMS,
-    CellSummary,
     ExperimentSpec,
-    SUMMARY_COLUMNS,
     SweepSummary,
-    improvement_rows,
     load_reports_jsonl,
+    load_summary_csv,
     run_experiment,
     summarize,
     summary_csv,
@@ -154,15 +152,12 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
 
 def render_cell_table(summary: SweepSummary) -> str:
     """Accuracy table: one row per k, one column per arm/|M| cell."""
-    arms = sorted({c.arm for c in summary.cells})
-    ks = sorted({c.k for c in summary.cells})
-    sizes = sorted({c.ensemble_size for c in summary.cells})
-    header = ["k"] + [f"{arm} |M|={m}" for arm in arms for m in sizes]
+    header = ["k"] + [f"{arm} |M|={m}" for arm in summary.arms for m in summary.sizes]
     rows = []
-    for k in ks:
+    for k in summary.ks:
         row = [str(k)]
-        for arm in arms:
-            for m in sizes:
+        for arm in summary.arms:
+            for m in summary.sizes:
                 cell = summary.cell(arm, k, m)
                 row.append(f"{cell.mean_acc:.2f} ({cell.std_acc:.2f})")
         rows.append(row)
@@ -171,17 +166,14 @@ def render_cell_table(summary: SweepSummary) -> str:
 
 def render_calibration_table(summary: SweepSummary) -> str:
     """Calibration table over base models, rows = k, columns = arm metrics."""
-    arms = sorted({c.arm for c in summary.cells})
-    ks = sorted({c.k for c in summary.cells})
-    m0 = min(c.ensemble_size for c in summary.cells)
     header = ["k"]
-    for arm in arms:
+    for arm in summary.arms:
         header += [f"{arm} RMS", f"{arm} MAD"]
     rows = []
-    for k in ks:
+    for k in summary.ks:
         row = [str(k)]
-        for arm in arms:
-            cell = summary.cell(arm, k, m0)
+        for arm in summary.arms:
+            cell = summary.cell(arm, k, summary.sizes[0])
             row.append(f"{cell.mean_rms_cal:.2f} (+-{cell.std_rms_cal:.2f})")
             row.append(f"{cell.mean_mad_cal:.2f} (+-{cell.std_mad_cal:.2f})")
         rows.append(row)
@@ -195,38 +187,6 @@ def improvements_csv(summary: SweepSummary) -> str:
             f"{r.kind},{r.arm},{r.k},{r.from_size},{r.to_size},{r.improvement!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def load_summary_csv(path: Path) -> SweepSummary:
-    """Rebuild a SweepSummary from a summary/report cells CSV."""
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != list(SUMMARY_COLUMNS):
-        raise ValueError(f"{path}: not a summary CSV (bad header)")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: summary CSV has no rows")
-    cells = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(SUMMARY_COLUMNS):
-            raise ValueError(f"{path} line {lineno}: expected {len(SUMMARY_COLUMNS)} fields")
-        try:
-            cells.append(
-                CellSummary(
-                    arm=parts[0],
-                    k=int(parts[1]),
-                    ensemble_size=int(parts[2]),
-                    trials=0,
-                    mean_acc=float(parts[3]),
-                    std_acc=float(parts[4]),
-                    mean_rms_cal=float(parts[5]),
-                    std_rms_cal=float(parts[6]),
-                    mean_mad_cal=float(parts[7]),
-                    std_mad_cal=float(parts[8]),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return SweepSummary(cells=tuple(cells), improvements=improvement_rows(cells))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -245,8 +205,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _run_and_write(
+    args: argparse.Namespace, cfg: configparser.ConfigParser, results_name: str
+) -> SweepSummary:
+    """Run the spec's grid and write its trial reports to args.out/results_name."""
     spec = build_spec(cfg, seed=args.seed, trials=args.trials)
     log.info(
         "sweep: %d arms x %d k x %d sizes x %d trials",
@@ -255,7 +217,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = run_experiment(spec, workers=args.workers)
     summary = summarize(reports)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_reports_jsonl(reports, args.out / "results.jsonl")
+    write_reports_jsonl(reports, args.out / results_name)
+    return summary
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    summary = _run_and_write(args, load_config(args.config), "results.jsonl")
     write_summary_csv(summary, args.out / "summary.csv")
     print(render_cell_table(summary))
     print()
@@ -287,11 +254,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.set("experiment", "ensemble_sizes", "1")
-    spec = build_spec(cfg, seed=args.seed, trials=args.trials)
-    reports = run_experiment(spec, workers=args.workers)
-    summary = summarize(reports)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_reports_jsonl(reports, args.out / "calibration.jsonl")
+    summary = _run_and_write(args, cfg, "calibration.jsonl")
     lines = ["arm,k,mean_rms,std_rms,mean_mad,std_mad"]
     for c in summary.cells:
         lines.append(
@@ -311,34 +274,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, out_default: str | None) -> None:
-        p.add_argument("--config", help="INI config file (defaults are built in)")
+    def command(name: str, func, help_text: str, out_default: str | None):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--out", type=Path, default=out_default,
                        help=f"output directory (default: {out_default or 'beside --results'})")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="parallel trial workers (default: 1)")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--trials", type=_positive_int, help="override the trial count")
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="increase log verbosity")
+        return p
 
-    p_gen = sub.add_parser("generate", help="write a synthetic dataset in manifest format")
-    common(p_gen, "dataset")
-    p_gen.set_defaults(func=cmd_generate)
+    def seeded(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p.add_argument("--config", help="INI config file (defaults are built in)")
+        p.add_argument("--seed", type=int, help="override the master seed")
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="run the full experiment grid")
-    common(p_sweep, "results")
-    p_sweep.set_defaults(func=cmd_sweep)
+    def runs_trials(p: argparse.ArgumentParser) -> None:
+        seeded(p)
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="parallel trial workers (default: 1)")
+        p.add_argument("--trials", type=_positive_int, help="override the trial count")
 
-    p_rep = sub.add_parser("report", help="render results as tables and CSV")
-    common(p_rep, None)
+    seeded(command("generate", cmd_generate,
+                   "write a synthetic dataset in manifest format", "dataset"))
+    runs_trials(command("sweep", cmd_sweep, "run the full experiment grid", "results"))
+    p_rep = command("report", cmd_report, "render results as tables and CSV", None)
     p_rep.add_argument("--results", required=True,
                        help="results.jsonl from sweep, or a summary CSV")
-    p_rep.set_defaults(func=cmd_report)
-
-    p_cal = sub.add_parser("calibrate", help="measure |M|=1 calibration only")
-    common(p_cal, "results")
-    p_cal.set_defaults(func=cmd_calibrate)
+    runs_trials(command("calibrate", cmd_calibrate, "measure |M|=1 calibration only", "results"))
     return parser
 
 

@@ -17,6 +17,7 @@ from pairbag.learner import (
     BaseModel,
     PretrainedExtractor,
     SiameseTopology,
+    TrainingError,
     default_topology,
     fine_tune,
     forward,
@@ -73,7 +74,8 @@ def train_ensemble(
 
     Model i (1-based) is trained on the k-shot positives plus chunk
     assignment.assigned[i-1], initialized from derive_seed(config.seed, i)
-    so members differ only through their seed path and their chunk.
+    so members differ only through their seed path and their chunk. A
+    TrainingError names the member (1-based) that diverged.
     """
     if mode not in ("scratch", "transfer"):
         raise ValueError(f"mode must be 'scratch' or 'transfer', got {mode!r}")
@@ -93,7 +95,10 @@ def train_ensemble(
         else:
             init = init_transfer(topology, pretrained, model_seed)
         indices = base_training_set(dataset, draw, plan, assignment, i)
-        trained, _ = fine_tune(init, indices, dataset, config.with_seed(model_seed))
+        try:
+            trained, _ = fine_tune(init, indices, dataset, config.with_seed(model_seed))
+        except TrainingError as exc:
+            raise TrainingError(f"member {i}: {exc}") from exc
         models.append(trained)
     return Ensemble(models=tuple(models), assignment=assignment, draw=draw, seed=config.seed)
 

@@ -11,6 +11,7 @@ plus error-rate improvement rows in the style of the headline comparisons.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,10 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from pairbag.calibrate import CalibrationReport, calibration_errors, records_from_scores
+from pairbag.calibrate import (
+    CalibrationReport,
+    aggregate_calibration,
+    calibration_errors,
+    records_from_scores,
+)
 from pairbag.data import PairDataset, SyntheticSpec, draw_k_shot, generate_synthetic, load_manifest
 from pairbag.ensemble import member_scores, train_ensemble
-from pairbag.learner import PretrainedExtractor, SiameseTopology, pretrain_extractor
+from pairbag.learner import (
+    PretrainedExtractor,
+    SiameseTopology,
+    TrainingError,
+    pretrain_extractor,
+)
 from pairbag.optimize import TrainConfig
 from pairbag.partition import assign_chunks, make_chunk_plan
 from pairbag.seeding import (
@@ -220,18 +231,89 @@ class ImprovementRow:
         )
 
 
+def _cell_name(arm: str, k: int, ensemble_size: int) -> str:
+    return f"(arm={arm}, k={k}, ensemble_size={ensemble_size})"
+
+
 @dataclass(frozen=True)
 class SweepSummary:
-    """Per-cell statistics plus the improvement comparisons."""
+    """Per-cell statistics over a full (arm, k, |M|) grid, plus its improvements.
+
+    The axes are the sorted arms (scratch before transfer), k values and
+    ensemble sizes of the cells. Every combination of them needs exactly one
+    cell, or construction raises ValueError naming the first one missing.
+    Cells keep the order they are given in.
+    """
 
     cells: tuple[CellSummary, ...]
-    improvements: tuple[ImprovementRow, ...]
+    arms: tuple[str, ...] = field(init=False)
+    ks: tuple[int, ...] = field(init=False)
+    sizes: tuple[int, ...] = field(init=False)
+    improvements: tuple[ImprovementRow, ...] = field(init=False)
+    _by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cells = tuple(self.cells)
+        if not cells:
+            raise ValueError("a sweep summary needs at least one cell")
+        by_key = {}
+        for c in cells:
+            key = (c.arm, c.k, c.ensemble_size)
+            if key in by_key:
+                raise ValueError(f"duplicate cell {_cell_name(*key)}")
+            by_key[key] = c
+        axes = [tuple(sorted(set(axis))) for axis in zip(*by_key)]
+        for key in itertools.product(*axes):
+            if key not in by_key:
+                raise ValueError(f"incomplete grid: no cell {_cell_name(*key)}")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_by_key", by_key)
+        for name, axis in zip(("arms", "ks", "sizes"), axes):
+            object.__setattr__(self, name, axis)
+        object.__setattr__(self, "improvements", self._improvement_rows())
 
     def cell(self, arm: str, k: int, ensemble_size: int) -> CellSummary:
-        for c in self.cells:
-            if (c.arm, c.k, c.ensemble_size) == (arm, k, ensemble_size):
-                return c
-        raise KeyError(f"no cell (arm={arm}, k={k}, ensemble_size={ensemble_size})")
+        try:
+            return self._by_key[(arm, k, ensemble_size)]
+        except KeyError:
+            raise KeyError(f"no cell {_cell_name(arm, k, ensemble_size)}") from None
+
+    def _improvement_rows(self) -> tuple[ImprovementRow, ...]:
+        """Ensemble-gain and transfer-gain rows over the grid.
+
+        Ensemble rows compare the smallest and largest |M| per arm and k;
+        transfer rows compare scratch with transfer per k and |M|. A baseline
+        cell with zero error gives no row.
+        """
+        small, large = self.sizes[0], self.sizes[-1]
+        pairs = []  # (kind, arm, k, baseline cell key, compared cell key)
+        if small != large:
+            pairs += [
+                ("ensemble", arm, k, (arm, k, small), (arm, k, large))
+                for arm in self.arms
+                for k in self.ks
+            ]
+        if "scratch" in self.arms and "transfer" in self.arms:
+            pairs += [
+                ("transfer", "transfer", k, ("scratch", k, m), ("transfer", k, m))
+                for k in self.ks
+                for m in self.sizes
+            ]
+        rows = []
+        for kind, arm, k, old, new in pairs:
+            base = self._by_key[old].mean_error
+            if base > 0.0:
+                rows.append(
+                    ImprovementRow(
+                        kind=kind,
+                        arm=arm,
+                        k=k,
+                        from_size=old[2],
+                        to_size=new[2],
+                        improvement=error_rate_improvement(self._by_key[new].mean_error, base),
+                    )
+                )
+        return tuple(rows)
 
 
 def error_rate_improvement(e_new: float, e_old: float) -> float:
@@ -282,9 +364,8 @@ def split_indices(
 
 @dataclass(frozen=True, eq=False)
 class ExperimentContext:
-    """Dataset, split, and pretrained extractor shared by every trial."""
+    """Holdout split and pretrained extractor shared by every trial."""
 
-    dataset: PairDataset
     train_idx: np.ndarray
     test_idx: np.ndarray
     train: PairDataset
@@ -309,7 +390,6 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
     return ExperimentContext(
-        dataset=dataset,
         train_idx=train_idx,
         test_idx=test_idx,
         train=train,
@@ -368,27 +448,28 @@ def run_trial(
     m: int,
     trial_seed: int,
     trial_index: int = 0,
-    context: ExperimentContext | None = None,
+    *,
+    context: ExperimentContext,
 ) -> TrialReport:
     """Train one ensemble on fresh k-shot/chunk draws and evaluate it.
 
     Draw, plan, assignment, and training seeds all derive from trial_seed.
     Raises before any training if m chunks of size k do not fit in the
-    train-split negatives, and LeakageError if any base-model training row
-    maps into the test set.
+    train-split negatives, LeakageError if any base-model training row
+    maps into the test set, and TrainingError naming the cell, the trial
+    and the member if training diverges.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
-    ctx = context if context is not None else build_context(spec)
-    capacity = len(ctx.train.negatives) // k
+    capacity = len(context.train.negatives) // k
     if m > capacity:
         raise ValueError(
             f"infeasible trial: m={m} base models need {m} chunks but only "
-            f"{capacity} chunks of size k={k} fit in {len(ctx.train.negatives)} "
+            f"{capacity} chunks of size k={k} fit in {len(context.train.negatives)} "
             "train negatives"
         )
-    draw = draw_k_shot(ctx.train, k, derive_seed(trial_seed, DRAW_STREAM))
-    plan = make_chunk_plan(ctx.train, k, derive_seed(trial_seed, PLAN_STREAM))
+    draw = draw_k_shot(context.train, k, derive_seed(trial_seed, DRAW_STREAM))
+    plan = make_chunk_plan(context.train, k, derive_seed(trial_seed, PLAN_STREAM))
     assignment = assign_chunks(plan, m, derive_seed(trial_seed, ASSIGN_STREAM))
 
     config = dataclasses.replace(
@@ -396,32 +477,35 @@ def run_trial(
         iterations=spec.iteration_budget(arm, k),
         seed=derive_seed(trial_seed, TRAIN_STREAM),
     )
-    ensemble = train_ensemble(
-        ctx.train,
-        draw,
-        plan,
-        assignment,
-        config,
-        mode=arm,
-        topology=spec.topology(ctx.train.dim),
-        pretrained=ctx.pretrained,
-    )
+    try:
+        ensemble = train_ensemble(
+            context.train,
+            draw,
+            plan,
+            assignment,
+            config,
+            mode=arm,
+            topology=spec.topology(context.train.dim),
+            pretrained=context.pretrained,
+        )
+    except TrainingError as exc:
+        raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
 
     # Leakage guard: map train-relative D_i rows to original dataset rows
     # and demand an empty intersection with the test rows.
     overlap = 0
     for i in range(1, m + 1):
         d_i = np.concatenate([draw.indices, plan.chunk(int(assignment.assigned[i - 1]))])
-        original = ctx.train_idx[d_i]
-        overlap += int(np.intersect1d(original, ctx.test_idx).size)
+        original = context.train_idx[d_i]
+        overlap += int(np.intersect1d(original, context.test_idx).size)
     if overlap:
         raise LeakageError(f"{overlap} training rows leaked into the test set")
 
-    per_model = member_scores(ensemble, ctx.test.pre, ctx.test.post)
+    per_model = member_scores(ensemble, context.test.pre, context.test.post)
     predictions = (per_model.mean(axis=0) >= 0.5).astype(np.int64)
-    accuracy = 100.0 * float(np.mean(predictions == ctx.test.labels))
+    accuracy = 100.0 * float(np.mean(predictions == context.test.labels))
     calibrations = tuple(
-        calibration_errors(records_from_scores(scores, ctx.test.labels))
+        calibration_errors(records_from_scores(scores, context.test.labels))
         for scores in per_model
     )
     return TrialReport(
@@ -460,11 +544,10 @@ def _worker_init(spec: ExperimentSpec) -> None:
     _WORKER_CTX = (spec, build_context(spec))
 
 
-def _worker_run(job: tuple[str, int, int, int, int]) -> dict:
+def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:
     arm, k, m, trial_index, trial_seed = job
     spec, ctx = _WORKER_CTX
-    report = run_trial(spec, arm, k, m, trial_seed, trial_index=trial_index, context=ctx)
-    return report.to_record()
+    return run_trial(spec, arm, k, m, trial_seed, trial_index=trial_index, context=ctx)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
@@ -493,102 +576,45 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(spec,)
         ) as pool:
-            reports = [TrialReport.from_record(r) for r in pool.map(_worker_run, jobs)]
+            reports = list(pool.map(_worker_run, jobs))
     reports.sort(key=lambda r: (r.arm, r.k, r.ensemble_size, r.trial_index))
     return reports
 
 
 def summarize(reports: list[TrialReport]) -> SweepSummary:
-    """Cell statistics plus ensemble-gain and transfer-gain improvements.
+    """Cell statistics over the (arm, k, |M|) grid the reports span.
 
-    Cells span the cross product of the arms, k values, and ensemble sizes
-    present in the reports; a missing or single-report cell is an error.
+    A cell with fewer than 2 reports is an error, and so is a grid cell with
+    none (see SweepSummary).
     """
     if not reports:
         raise ValueError("no trial reports to summarize")
-    arms = sorted({r.arm for r in reports})  # scratch before transfer
-    ks = sorted({r.k for r in reports})
-    sizes = sorted({r.ensemble_size for r in reports})
     grouped: dict[tuple[str, int, int], list[TrialReport]] = {}
     for r in reports:
         grouped.setdefault((r.arm, r.k, r.ensemble_size), []).append(r)
-
     cells = []
-    for arm in arms:
-        for k in ks:
-            for m in sizes:
-                cell_reports = grouped.get((arm, k, m), [])
-                if len(cell_reports) < 2:
-                    raise ValueError(
-                        f"cell (arm={arm}, k={k}, ensemble_size={m}) has "
-                        f"{len(cell_reports)} reports, need >= 2"
-                    )
-                acc = np.array([r.accuracy for r in cell_reports])
-                rms = np.array(
-                    [c.rms_error for r in cell_reports for c in r.calibrations]
-                )
-                mad = np.array(
-                    [c.mad_error for r in cell_reports for c in r.calibrations]
-                )
-                cells.append(
-                    CellSummary(
-                        arm=arm,
-                        k=k,
-                        ensemble_size=m,
-                        trials=len(cell_reports),
-                        mean_acc=float(acc.mean()),
-                        std_acc=float(acc.std(ddof=1)),
-                        mean_rms_cal=float(rms.mean()),
-                        std_rms_cal=float(rms.std(ddof=1)) if rms.size > 1 else 0.0,
-                        mean_mad_cal=float(mad.mean()),
-                        std_mad_cal=float(mad.std(ddof=1)) if mad.size > 1 else 0.0,
-                    )
-                )
-
-    return SweepSummary(cells=tuple(cells), improvements=improvement_rows(cells))
-
-
-def improvement_rows(cells: list[CellSummary]) -> tuple[ImprovementRow, ...]:
-    """Ensemble-gain and transfer-gain rows over a full grid of cells.
-
-    Ensemble rows compare the smallest and largest |M| per arm and k;
-    transfer rows compare scratch with transfer per k and |M|. A baseline
-    cell with zero error gives no row.
-    """
-    grid = SweepSummary(cells=tuple(cells), improvements=())
-    arms = sorted({c.arm for c in cells})  # scratch before transfer
-    ks = sorted({c.k for c in cells})
-    sizes = sorted({c.ensemble_size for c in cells})
-    pairs = []  # (kind, arm, k, baseline cell key, compared cell key)
-    if sizes[0] != sizes[-1]:
-        pairs += [
-            ("ensemble", arm, k, (arm, k, sizes[0]), (arm, k, sizes[-1]))
-            for arm in arms
-            for k in ks
-        ]
-    if "scratch" in arms and "transfer" in arms:
-        pairs += [
-            ("transfer", "transfer", k, ("scratch", k, m), ("transfer", k, m))
-            for k in ks
-            for m in sizes
-        ]
-    rows = []
-    for kind, arm, k, old, new in pairs:
-        base = grid.cell(*old)
-        if base.mean_error > 0.0:
-            rows.append(
-                ImprovementRow(
-                    kind=kind,
-                    arm=arm,
-                    k=k,
-                    from_size=old[2],
-                    to_size=new[2],
-                    improvement=error_rate_improvement(
-                        grid.cell(*new).mean_error, base.mean_error
-                    ),
-                )
+    for (arm, k, m), group in sorted(grouped.items()):
+        if len(group) < 2:
+            raise ValueError(
+                f"cell {_cell_name(arm, k, m)} has {len(group)} reports, need >= 2"
             )
-    return tuple(rows)
+        acc = np.array([r.accuracy for r in group])
+        cal = aggregate_calibration(c for r in group for c in r.calibrations)
+        cells.append(
+            CellSummary(
+                arm=arm,
+                k=k,
+                ensemble_size=m,
+                trials=len(group),
+                mean_acc=float(acc.mean()),
+                std_acc=float(acc.std(ddof=1)),
+                mean_rms_cal=cal.mean_rms,
+                std_rms_cal=cal.std_rms,
+                mean_mad_cal=cal.mean_mad,
+                std_mad_cal=cal.std_mad,
+            )
+        )
+    return SweepSummary(cells=tuple(cells))
 
 
 # --- results files -----------------------------------------------------------
@@ -641,3 +667,36 @@ def summary_csv(summary: SweepSummary) -> str:
 
 def write_summary_csv(summary: SweepSummary, path: str | Path) -> None:
     Path(path).write_text(summary_csv(summary))
+
+
+def load_summary_csv(path: str | Path) -> SweepSummary:
+    """Rebuild a SweepSummary from a cells CSV written by summary_csv."""
+    path = Path(path)
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines or lines[0].split(",") != list(SUMMARY_COLUMNS):
+        raise ValueError(f"{path}: not a summary CSV (bad header)")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: summary CSV has no rows")
+    cells = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(SUMMARY_COLUMNS):
+            raise ValueError(f"{path} line {lineno}: expected {len(SUMMARY_COLUMNS)} fields")
+        try:
+            cells.append(
+                CellSummary(
+                    arm=parts[0],
+                    k=int(parts[1]),
+                    ensemble_size=int(parts[2]),
+                    trials=0,
+                    mean_acc=float(parts[3]),
+                    std_acc=float(parts[4]),
+                    mean_rms_cal=float(parts[5]),
+                    std_rms_cal=float(parts[6]),
+                    mean_mad_cal=float(parts[7]),
+                    std_mad_cal=float(parts[8]),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+    return SweepSummary(cells=tuple(cells))

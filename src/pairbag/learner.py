@@ -148,6 +148,33 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extract(layers: list, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The extractor's ReLU layers applied to rows x; appends each output to acts."""
+    for w, b in layers:
+        x = np.maximum(x @ w.T + b, 0.0)
+        if acts is not None:
+            acts.append(x)
+    return x
+
+
+def _forward(layers: list, n_ext: int, pre: np.ndarray, post: np.ndarray, keep: bool = False):
+    """Scores of a pair batch: one extractor walk per branch, then the head.
+
+    Returns (scores, cache). With keep, cache holds what backprop reads: per
+    branch the input and every extractor output, the head input h and the
+    head's hidden activation r1. Without it cache is None, so scoring holds
+    no activation past its use.
+    """
+    branches = [[x] if keep else None for x in (pre, post)]
+    h = np.concatenate(
+        [_extract(layers[:n_ext], x, acts) for x, acts in zip((pre, post), branches)], axis=1
+    )
+    (w1, b1), (w2, b2) = layers[n_ext:]
+    r1 = np.maximum(h @ w1.T + b1, 0.0)
+    scores = _sigmoid((r1 @ w2.T + b2)[:, 0])
+    return scores, ((branches, h, r1) if keep else None)
+
+
 def extract_features(model: BaseModel, x: np.ndarray) -> np.ndarray:
     """Run the shared extractor on vectors x (1-D or (n, d))."""
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -156,8 +183,7 @@ def extract_features(model: BaseModel, x: np.ndarray) -> np.ndarray:
             f"input has {a.shape[1]} features, model expects {model.topology.input_dim}"
         )
     n_ext = len(model.topology.extractor_sizes) - 1
-    for w, b in _unpack(model.weights, model.topology)[:n_ext]:
-        a = np.maximum(a @ w.T + b, 0.0)
+    a = _extract(_unpack(model.weights, model.topology)[:n_ext], a)
     return a[0] if np.asarray(x).ndim == 1 else a
 
 
@@ -175,25 +201,9 @@ def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray):
         raise ValueError(
             f"pair batch shapes {pre.shape} / {post.shape} do not match input dim {d}"
         )
-    scores = _forward_scores(model.weights, model.topology, pre, post)
+    n_ext = len(model.topology.extractor_sizes) - 1
+    scores, _ = _forward(_unpack(model.weights, model.topology), n_ext, pre, post)
     return float(scores[0]) if single else scores
-
-
-def _forward_scores(weights, topology, pre, post) -> np.ndarray:
-    layers = _unpack(weights, topology)
-    n_ext = len(topology.extractor_sizes) - 1
-    feats = []
-    for x in (pre, post):
-        a = x
-        for w, b in layers[:n_ext]:
-            a = np.maximum(a @ w.T + b, 0.0)
-        feats.append(a)
-    h = np.concatenate(feats, axis=1)
-    w1, b1 = layers[n_ext]
-    w2, b2 = layers[n_ext + 1]
-    r1 = np.maximum(h @ w1.T + b1, 0.0)
-    logit = (r1 @ w2.T + b2)[:, 0]
-    return _sigmoid(logit)
 
 
 def loss_and_gradient(
@@ -209,27 +219,7 @@ def loss_and_gradient(
     layers = _unpack(model.weights, topology)
     n_ext = len(topology.extractor_sizes) - 1
     n = pre.shape[0]
-
-    # Forward with caches: pre-activations z and activations a per branch.
-    branch_caches = []
-    feats = []
-    for x in (pre, post):
-        a = x
-        zs, as_ = [], [a]
-        for w, b in layers[:n_ext]:
-            z = a @ w.T + b
-            a = np.maximum(z, 0.0)
-            zs.append(z)
-            as_.append(a)
-        branch_caches.append((zs, as_))
-        feats.append(a)
-    h = np.concatenate(feats, axis=1)
-    w1, b1 = layers[n_ext]
-    w2, b2 = layers[n_ext + 1]
-    z1 = h @ w1.T + b1
-    r1 = np.maximum(z1, 0.0)
-    logit = (r1 @ w2.T + b2)[:, 0]
-    scores = _sigmoid(logit)
+    scores, (branches, h, r1) = _forward(layers, n_ext, pre, post, keep=True)
     mean_loss = loss(scores, targets)
     if not np.isfinite(mean_loss):
         raise TrainingError("non-finite loss in forward pass")
@@ -237,26 +227,28 @@ def loss_and_gradient(
     grad = np.zeros_like(model.weights)
     g_layers = _unpack(grad, topology)
 
-    # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs.
+    # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs. A ReLU
+    # output is > 0 exactly where its input is, so masks read activations.
     dlogit = ((scores - targets) / n)[:, None]
+    w1 = layers[n_ext][0]
+    w2 = layers[n_ext + 1][0]
     gw2, gb2 = g_layers[n_ext + 1]
     gw2 += dlogit.T @ r1
     gb2 += dlogit.sum(axis=0)
     dr1 = dlogit @ w2
-    dz1 = dr1 * (z1 > 0.0)
+    dz1 = dr1 * (r1 > 0.0)
     gw1, gb1 = g_layers[n_ext]
     gw1 += dz1.T @ h
     gb1 += dz1.sum(axis=0)
     dh = dz1 @ w1
 
     f = topology.feature_size
-    for branch, dfeat in enumerate((dh[:, :f], dh[:, f:])):
-        zs, as_ = branch_caches[branch]
+    for acts, dfeat in zip(branches, (dh[:, :f], dh[:, f:])):
         da = dfeat
         for li in range(n_ext - 1, -1, -1):
-            dz = da * (zs[li] > 0.0)
+            dz = da * (acts[li + 1] > 0.0)
             gw, gb = g_layers[li]
-            gw += dz.T @ as_[li]
+            gw += dz.T @ acts[li]
             gb += dz.sum(axis=0)
             if li > 0:
                 da = dz @ layers[li][0]
@@ -329,34 +321,6 @@ def init_transfer(
     return BaseModel(topology=topology, weights=weights, init_mode="transfer")
 
 
-def _train_weights(
-    model: BaseModel,
-    pre: np.ndarray,
-    post: np.ndarray,
-    labels: np.ndarray,
-    config: TrainConfig,
-    head_only: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch Adam loop; returns (final weights, per-iteration losses)."""
-    targets = smooth_target(labels, config.alpha)
-    weights = model.weights.copy()
-    state = AdamState.zeros(weights.size)
-    trace = np.empty(config.iterations)
-    n_frozen = model.topology.extractor_param_count if head_only else 0
-    for step in range(config.iterations):
-        step_model = BaseModel(
-            topology=model.topology, weights=weights, init_mode=model.init_mode
-        )
-        step_loss, grad = loss_and_gradient(step_model, pre, post, targets)
-        if not np.isfinite(step_loss):
-            raise TrainingError(f"non-finite loss at iteration {step + 1}")
-        if n_frozen:
-            grad[:n_frozen] = 0.0  # zero grad + zero moments leave frozen slice bitwise intact
-        weights, state = adam_step(weights, grad, state, config)
-        trace[step] = step_loss
-    return weights, trace
-
-
 def fine_tune(
     model: BaseModel,
     indices: np.ndarray,
@@ -374,9 +338,22 @@ def fine_tune(
         raise ValueError("training index set is empty")
     pre = dataset.pre[idx]
     post = dataset.post[idx]
-    labels = dataset.labels[idx]
-    head_only = model.init_mode == "transfer"
-    weights, trace = _train_weights(model, pre, post, labels, config, head_only)
+    targets = smooth_target(dataset.labels[idx], config.alpha)
+    weights = model.weights.copy()
+    state = AdamState.zeros(weights.size)
+    trace = np.empty(config.iterations)
+    n_frozen = model.topology.extractor_param_count if model.init_mode == "transfer" else 0
+    for step in range(config.iterations):
+        step_model = BaseModel(
+            topology=model.topology, weights=weights, init_mode=model.init_mode
+        )
+        step_loss, grad = loss_and_gradient(step_model, pre, post, targets)
+        if not np.isfinite(step_loss):
+            raise TrainingError(f"non-finite loss at iteration {step + 1}")
+        if n_frozen:
+            grad[:n_frozen] = 0.0  # zero grad + zero moments leave frozen slice bitwise intact
+        weights, state = adam_step(weights, grad, state, config)
+        trace[step] = step_loss
     trained = BaseModel(
         topology=model.topology, weights=weights, init_mode=model.init_mode, trained=True
     )
@@ -386,15 +363,12 @@ def fine_tune(
 def train_source_model(
     source: PairDataset, topology: SiameseTopology, budget: int, seed: int
 ) -> BaseModel:
-    """Train a scratch model on the whole source dataset for `budget` steps."""
+    """Train a scratch model on every source row for `budget` steps."""
     if len(source) == 0:
         raise ValueError("source dataset is empty")
     config = TrainConfig(iterations=budget, seed=seed)
-    model = init_scratch(topology, seed)
-    weights, _ = _train_weights(
-        model, source.pre, source.post, source.labels, config, head_only=False
-    )
-    return BaseModel(topology=topology, weights=weights, init_mode="scratch", trained=True)
+    trained, _ = fine_tune(init_scratch(topology, seed), np.arange(len(source)), source, config)
+    return trained
 
 
 def pretrain_extractor(

@@ -112,7 +112,7 @@ def _unpack_payload(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _encode_dataset(ds: PairDataset):
-    return KIND_DATASET, 0, {}, [("pre", ds.pre), ("post", ds.post), ("labels", ds.labels)]
+    return 0, {}, [("pre", ds.pre), ("post", ds.post), ("labels", ds.labels)]
 
 
 def _decode_dataset(meta, arrays) -> PairDataset:
@@ -121,7 +121,7 @@ def _decode_dataset(meta, arrays) -> PairDataset:
 
 def _encode_plan(plan: ChunkPlan):
     meta = {"k": plan.k, "seed": plan.seed}
-    return KIND_PLAN, plan.seed, meta, [("chunks", plan.chunks), ("dropped", plan.dropped)]
+    return plan.seed, meta, [("chunks", plan.chunks), ("dropped", plan.dropped)]
 
 
 def _decode_plan(meta, arrays) -> ChunkPlan:
@@ -135,7 +135,7 @@ def _decode_plan(meta, arrays) -> ChunkPlan:
 
 def _encode_assignment(a: ChunkAssignment):
     meta = {"model_count": a.model_count, "seed": a.seed}
-    return KIND_ASSIGNMENT, a.seed, meta, [("assigned", a.assigned)]
+    return a.seed, meta, [("assigned", a.assigned)]
 
 
 def _decode_assignment(meta, arrays) -> ChunkAssignment:
@@ -169,7 +169,7 @@ def _model_from_meta(meta: dict, weights: np.ndarray) -> BaseModel:
 
 
 def _encode_model(model: BaseModel):
-    return KIND_MODEL, 0, _model_meta(model), [("weights", model.weights)]
+    return 0, _model_meta(model), [("weights", model.weights)]
 
 
 def _decode_model(meta, arrays) -> BaseModel:
@@ -178,7 +178,7 @@ def _decode_model(meta, arrays) -> BaseModel:
 
 def _encode_extractor(ext: PretrainedExtractor):
     meta = {"extractor_sizes": list(ext.extractor_sizes), "source_seed": ext.source_seed}
-    return KIND_EXTRACTOR, ext.source_seed, meta, [("weights", ext.weights)]
+    return ext.source_seed, meta, [("weights", ext.weights)]
 
 
 def _decode_extractor(meta, arrays) -> PretrainedExtractor:
@@ -199,7 +199,7 @@ def _encode_ensemble(ens: Ensemble):
     arrays = [(f"model_{i}", m.weights) for i, m in enumerate(ens.models)]
     arrays.append(("assigned", ens.assignment.assigned))
     arrays.append(("draw_indices", ens.draw.indices))
-    return KIND_ENSEMBLE, ens.seed, meta, arrays
+    return ens.seed, meta, arrays
 
 
 def _decode_ensemble(meta, arrays) -> Ensemble:
@@ -219,29 +219,21 @@ def _decode_ensemble(meta, arrays) -> Ensemble:
     return Ensemble(models=models, assignment=assignment, draw=draw, seed=int(meta["seed"]))
 
 
-_DECODERS = {
-    KIND_DATASET: _decode_dataset,
-    KIND_PLAN: _decode_plan,
-    KIND_ASSIGNMENT: _decode_assignment,
-    KIND_MODEL: _decode_model,
-    KIND_ENSEMBLE: _decode_ensemble,
-    KIND_EXTRACTOR: _decode_extractor,
+# kind -> (artifact type, encoder to (seed, meta, arrays), decoder from (meta, arrays))
+_KINDS = {
+    KIND_DATASET: (PairDataset, _encode_dataset, _decode_dataset),
+    KIND_PLAN: (ChunkPlan, _encode_plan, _decode_plan),
+    KIND_ASSIGNMENT: (ChunkAssignment, _encode_assignment, _decode_assignment),
+    KIND_MODEL: (BaseModel, _encode_model, _decode_model),
+    KIND_ENSEMBLE: (Ensemble, _encode_ensemble, _decode_ensemble),
+    KIND_EXTRACTOR: (PretrainedExtractor, _encode_extractor, _decode_extractor),
 }
 
 
 def _encode(artifact):
-    if isinstance(artifact, PairDataset):
-        return _encode_dataset(artifact)
-    if isinstance(artifact, ChunkPlan):
-        return _encode_plan(artifact)
-    if isinstance(artifact, ChunkAssignment):
-        return _encode_assignment(artifact)
-    if isinstance(artifact, BaseModel):
-        return _encode_model(artifact)
-    if isinstance(artifact, PretrainedExtractor):
-        return _encode_extractor(artifact)
-    if isinstance(artifact, Ensemble):
-        return _encode_ensemble(artifact)
+    for kind, (cls, encode, _) in _KINDS.items():
+        if isinstance(artifact, cls):
+            return (kind, *encode(artifact))
     raise PersistError(f"cannot serialize object of type {type(artifact).__name__}")
 
 
@@ -283,11 +275,10 @@ def from_bytes(data: bytes):
         )
     if hashlib.sha256(payload).digest() != digest:
         raise PersistError("payload digest mismatch, file corrupted")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    if kind not in _KINDS:
         raise PersistError(f"unknown artifact kind {kind}")
     meta, arrays = _unpack_payload(payload)
-    return decoder(meta, arrays)
+    return _KINDS[kind][2](meta, arrays)
 
 
 def save(artifact, path: str | Path) -> Path:

@@ -190,6 +190,35 @@ class TestReport:
         assert main(["report", "--results", str(path)]) == 1
         assert "bad header" in capsys.readouterr().err
 
+    def test_incomplete_grid_names_missing_cell(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        rows = ["scratch,5,1", "scratch,5,5", "transfer,5,1"]
+        path.write_text(
+            ",".join(SUMMARY_COLUMNS) + "\n"
+            + "".join(f"{row},80.0,1.0,5.0,1.0,4.0,1.0\n" for row in rows)
+        )
+        assert main(["report", "--results", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "arm=transfer, k=5, ensemble_size=5" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["report", "--results", "r.jsonl", "--workers", "2"],
+        ["report", "--results", "r.jsonl", "--config", "x.ini"],
+        ["report", "--results", "r.jsonl", "--seed", "1"],
+        ["report", "--results", "r.jsonl", "--trials", "3"],
+        ["generate", "--trials", "3"],
+        ["generate", "--workers", "2"],
+    ],
+)
+def test_subcommand_refuses_flags_it_does_not_read(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
 
 class TestCalibrate:
     def test_smoke(self, tmp_path, tiny_config, capsys):
@@ -245,8 +274,15 @@ class TestConfigErrors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training(self, tmp_path, capsys):
+        """The message names where the run diverged, also from a worker process."""
         path = tmp_path / "diverge.ini"
         path.write_text(TINY_INI + "[train]\nlearning_rate = 1e200\n")
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert main(
+                ["sweep", "--config", str(path), "--out", str(out), "--workers", workers]
+            ) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "non-finite" in err
+            for part in ("arm scratch", "k=2", "|M|=1", "trial 0", "member 1"):
+                assert part in err, (workers, part, err)

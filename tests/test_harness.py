@@ -254,7 +254,7 @@ class TestRunTrial:
     def test_unknown_arm(self):
         spec = tiny_spec()
         with pytest.raises(ValueError, match="unknown arm"):
-            run_trial(spec, "warm", 2, 1, 0)
+            run_trial(spec, "warm", 2, 1, 0, context=build_context(spec))
 
     def test_well_separated_data_scores_high(self):
         """k=2 on strongly separated pairs still beats 90% test accuracy."""
