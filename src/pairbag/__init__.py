@@ -9,7 +9,6 @@ averages their scores at inference. It ships with calibration diagnostics
 from pairbag.data import (
     KShotDraw,
     PairDataset,
-    PairSample,
     SyntheticSpec,
     draw_k_shot,
     generate_synthetic,
@@ -28,13 +27,11 @@ from pairbag.learner import (
     PretrainedExtractor,
     SiameseTopology,
     default_topology,
-    extract_features,
     fine_tune,
     forward,
     init_scratch,
     init_transfer,
     pretrain_extractor,
-    train_source_model,
 )
 from pairbag.optimize import (
     AdamState,
@@ -47,7 +44,6 @@ from pairbag.optimize import (
 from pairbag.ensemble import (
     Ensemble,
     member_scores,
-    predict_label,
     predict_score,
     train_ensemble,
 )
@@ -66,7 +62,6 @@ from pairbag.harness import (
     error_rate_improvement,
     run_experiment,
     run_trial,
-    split_holdout,
     summarize,
 )
 

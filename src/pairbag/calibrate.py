@@ -10,7 +10,6 @@ RMS >= MAD always (power-mean inequality).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,13 +54,6 @@ class CalibrationReport:
             raise ValueError(f"rms error above 100 percent: {self.rms_error}")
         object.__setattr__(self, "bins", tuple(tuple(b) for b in self.bins))
 
-    @property
-    def record_count(self) -> int:
-        return sum(count for count, _, _ in self.bins)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
     def to_record(self) -> dict:
         return {
             "rms_error": self.rms_error,
@@ -76,12 +68,6 @@ class CalibrationReport:
             mad_error=float(record["mad_error"]),
             bins=tuple((int(c), float(m), float(a)) for c, m, a in record["bins"]),
         )
-
-    def bins_csv(self) -> str:
-        lines = ["bin,count,mean_confidence,empirical_accuracy"]
-        for b, (count, conf, acc) in enumerate(self.bins, start=1):
-            lines.append(f"{b},{count},{conf!r},{acc!r}")
-        return "\n".join(lines) + "\n"
 
 
 def records_from_scores(scores: np.ndarray, labels: np.ndarray) -> list[PredictionRecord]:
@@ -148,12 +134,6 @@ class CalibrationAggregate:
     mean_mad: float
     std_mad: float
     count: int
-
-    def format(self) -> str:
-        return (
-            f"RMS {self.mean_rms:.2f} (+-{self.std_rms:.2f})  "
-            f"MAD {self.mean_mad:.2f} (+-{self.std_mad:.2f})  n={self.count}"
-        )
 
 
 def aggregate_calibration(reports: Iterable[CalibrationReport]) -> CalibrationAggregate:

@@ -20,27 +20,6 @@ class ManifestError(ValueError):
     """Raised when a manifest or one of its vector files is invalid."""
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """One labeled (pre, post) observation pair."""
-
-    pre: np.ndarray
-    post: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.pre.ndim != 1 or self.post.ndim != 1:
-            raise ValueError("pre and post must be 1-D vectors")
-        if self.pre.shape != self.post.shape:
-            raise ValueError(
-                f"pre and post lengths differ: {self.pre.shape[0]} vs {self.post.shape[0]}"
-            )
-        if self.pre.shape[0] < 1:
-            raise ValueError("feature dimension must be >= 1")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class PairDataset:
     """Immutable collection of pair samples split into positives and negatives.
@@ -91,9 +70,6 @@ class PairDataset:
 
     def __len__(self) -> int:
         return self.pre.shape[0]
-
-    def __getitem__(self, i: int) -> PairSample:
-        return PairSample(self.pre[i], self.post[i], int(self.labels[i]))
 
     def subset(self, indices: np.ndarray) -> "PairDataset":
         """New dataset holding the given rows (order preserved)."""

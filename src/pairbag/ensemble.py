@@ -2,8 +2,8 @@
 
 Every base model sees the same positive k-shot draw but its own negative
 chunk, so each training set is balanced (k positives, k negatives) and the
-negative sets are pairwise disjoint. At inference the ensemble score is the
-plain average of the base-model scores; the label thresholds it at 0.5.
+negative sets are pairwise disjoint. At inference every member scores the
+same (n, d) pair batch and the ensemble score is the plain average.
 """
 
 from __future__ import annotations
@@ -96,31 +96,18 @@ def train_ensemble(
             init = init_transfer(topology, pretrained, model_seed)
         indices = base_training_set(dataset, draw, plan, assignment, i)
         try:
-            trained, _ = fine_tune(init, indices, dataset, config.with_seed(model_seed))
+            trained, _ = fine_tune(init, indices, dataset, config)
         except TrainingError as exc:
             raise TrainingError(f"member {i}: {exc}") from exc
         models.append(trained)
     return Ensemble(models=tuple(models), assignment=assignment, draw=draw, seed=config.seed)
 
 
-def predict_score(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray):
-    """Unweighted mean of base-model scores: float or (n,) array."""
-    single = np.asarray(pre).ndim == 1
-    scores = np.array([forward(m, pre, post) for m in ensemble.models], dtype=np.float64)
-    mean = scores.mean(axis=0)
-    return float(mean) if single else np.asarray(mean, dtype=np.float64)
-
-
-def predict_label(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray):
-    """Hard decision: 1 where the mean score is >= 0.5, else 0."""
-    score = predict_score(ensemble, pre, post)
-    if np.isscalar(score) or np.asarray(score).ndim == 0:
-        return int(score >= 0.5)
-    return (score >= 0.5).astype(np.int64)
-
-
 def member_scores(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Per-model scores, shape (size, n); used for per-member calibration."""
-    pre2 = np.atleast_2d(np.asarray(pre, dtype=np.float64))
-    post2 = np.atleast_2d(np.asarray(post, dtype=np.float64))
-    return np.stack([forward(m, pre2, post2) for m in ensemble.models])
+    """Per-model scores of n pairs, shape (size, n); used for per-member calibration."""
+    return np.stack([forward(m, pre, post) for m in ensemble.models])
+
+
+def predict_score(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Unweighted mean of the base-model scores of n pairs, shape (n,)."""
+    return member_scores(ensemble, pre, post).mean(axis=0)

@@ -326,14 +326,6 @@ def error_rate_improvement(e_new: float, e_old: float) -> float:
     return 100.0 * (1.0 - e_new / e_old)
 
 
-def split_holdout(
-    dataset: PairDataset, test_fraction: float, seed: int
-) -> tuple[PairDataset, PairDataset]:
-    """Stratified disjoint train/test split, deterministic by seed."""
-    train_idx, test_idx = split_indices(dataset, test_fraction, seed)
-    return dataset.subset(train_idx), dataset.subset(test_idx)
-
-
 def split_indices(
     dataset: PairDataset, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,19 +365,36 @@ class ExperimentContext:
     pretrained: PretrainedExtractor | None
 
 
-def load_source_dataset(spec: ExperimentSpec) -> PairDataset:
-    if isinstance(spec.source, SyntheticSpec):
-        return generate_synthetic(spec.source)
-    return load_manifest(spec.source)
+def _check_feasible(spec: ExperimentSpec, train: PairDataset) -> None:
+    n_neg = len(train.negatives)
+    n_pos = len(train.positives)
+    for k in spec.k_shots:
+        if k > n_pos:
+            raise ValueError(f"k={k} exceeds the {n_pos} train positives")
+        capacity = n_neg // k
+        for m in spec.ensemble_sizes:
+            if m > capacity:
+                raise ValueError(
+                    f"infeasible spec: k={k}, |M|={m} needs {m} chunks but the "
+                    f"train split holds only {capacity}"
+                )
 
 
 def build_context(spec: ExperimentSpec) -> ExperimentContext:
-    """Materialize the dataset, the holdout split, and the frozen extractor."""
-    dataset = load_source_dataset(spec)
+    """Materialize the dataset, the holdout split, and the frozen extractor.
+
+    Raises ValueError before pretraining if some grid cell cannot fit its
+    ensemble in the train split.
+    """
+    if isinstance(spec.source, SyntheticSpec):
+        dataset = generate_synthetic(spec.source)
+    else:
+        dataset = load_manifest(spec.source)
     split_seed = derive_seed(spec.seed, SPLIT_STREAM)
     train_idx, test_idx = split_indices(dataset, spec.test_fraction, split_seed)
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
+    _check_feasible(spec, train)
     pretrained = None
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
@@ -519,29 +528,12 @@ def run_trial(
     )
 
 
-def _check_feasible(spec: ExperimentSpec, ctx: ExperimentContext) -> None:
-    n_neg = len(ctx.train.negatives)
-    n_pos = len(ctx.train.positives)
-    for k in spec.k_shots:
-        if k > n_pos:
-            raise ValueError(f"k={k} exceeds the {n_pos} train positives")
-        capacity = n_neg // k
-        for m in spec.ensemble_sizes:
-            if m > capacity:
-                raise ValueError(
-                    f"infeasible spec: k={k}, |M|={m} needs {m} chunks but the "
-                    f"train split holds only {capacity}"
-                )
-
-
 _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None
 
 
-def _worker_init(spec: ExperimentSpec) -> None:
-    # Rebuilding the context per worker is deterministic, so no arrays
-    # travel between processes.
+def _worker_init(spec: ExperimentSpec, ctx: ExperimentContext) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (spec, build_context(spec))
+    _WORKER_CTX = (spec, ctx)
 
 
 def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:
@@ -553,13 +545,14 @@ def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
     """Run every (arm, k, |M|, trial) cell of the spec.
 
-    Worker count only changes wall time: per-trial seeds are derived from
-    the master seed, and results are returned in canonical cell order.
+    The context is built once, in this process, and pool workers reuse it,
+    so the extractor is pretrained once per sweep. Worker count only changes
+    wall time: per-trial seeds are derived from the master seed, and results
+    are returned in canonical cell order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ctx = build_context(spec)
-    _check_feasible(spec, ctx)
     jobs = [
         (arm, k, m, t, trial_seed_for(spec, arm, k, m, t))
         for arm in spec.arms
@@ -574,7 +567,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
         ]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(spec,)
+            max_workers=workers, initializer=_worker_init, initargs=(spec, ctx)
         ) as pool:
             reports = list(pool.map(_worker_run, jobs))
     reports.sort(key=lambda r: (r.arm, r.k, r.ensemble_size, r.trial_index))

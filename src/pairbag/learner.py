@@ -175,35 +175,21 @@ def _forward(layers: list, n_ext: int, pre: np.ndarray, post: np.ndarray, keep: 
     return scores, ((branches, h, r1) if keep else None)
 
 
-def extract_features(model: BaseModel, x: np.ndarray) -> np.ndarray:
-    """Run the shared extractor on vectors x (1-D or (n, d))."""
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if a.shape[1] != model.topology.input_dim:
-        raise ValueError(
-            f"input has {a.shape[1]} features, model expects {model.topology.input_dim}"
-        )
-    n_ext = len(model.topology.extractor_sizes) - 1
-    a = _extract(_unpack(model.weights, model.topology)[:n_ext], a)
-    return a[0] if np.asarray(x).ndim == 1 else a
+def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Scores in (0, 1) of n pairs; both branches share the extractor weights.
 
-
-def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray):
-    """Score in (0, 1) for a pair; both branches share the extractor weights.
-
-    Accepts single vectors (returns a float) or (n, d) batches (returns an
-    array of n scores).
+    pre and post are (n, d) batches; any other shape raises ValueError.
     """
-    single = np.asarray(pre).ndim == 1
-    pre = np.atleast_2d(np.asarray(pre, dtype=np.float64))
-    post = np.atleast_2d(np.asarray(post, dtype=np.float64))
+    pre = np.asarray(pre, dtype=np.float64)
+    post = np.asarray(post, dtype=np.float64)
     d = model.topology.input_dim
-    if pre.shape[1] != d or post.shape[1] != d or pre.shape[0] != post.shape[0]:
+    if pre.ndim != 2 or pre.shape[1] != d or post.shape != pre.shape:
         raise ValueError(
-            f"pair batch shapes {pre.shape} / {post.shape} do not match input dim {d}"
+            f"pair batch shapes {pre.shape} / {post.shape} are not (n, input dim {d})"
         )
     n_ext = len(model.topology.extractor_sizes) - 1
     scores, _ = _forward(_unpack(model.weights, model.topology), n_ext, pre, post)
-    return float(scores[0]) if single else scores
+    return scores
 
 
 def loss_and_gradient(
@@ -331,7 +317,8 @@ def fine_tune(
 
     In transfer mode only head parameters change. Returns the trained model
     and the training-loss trace (one entry per iteration, evaluated before
-    each step; no monotonicity is promised).
+    each step; no monotonicity is promised). A TrainingError names the
+    1-based iteration that diverged.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -347,9 +334,10 @@ def fine_tune(
         step_model = BaseModel(
             topology=model.topology, weights=weights, init_mode=model.init_mode
         )
-        step_loss, grad = loss_and_gradient(step_model, pre, post, targets)
-        if not np.isfinite(step_loss):
-            raise TrainingError(f"non-finite loss at iteration {step + 1}")
+        try:
+            step_loss, grad = loss_and_gradient(step_model, pre, post, targets)
+        except TrainingError as exc:
+            raise TrainingError(f"iteration {step + 1}: {exc}") from exc
         if n_frozen:
             grad[:n_frozen] = 0.0  # zero grad + zero moments leave frozen slice bitwise intact
         weights, state = adam_step(weights, grad, state, config)
@@ -360,26 +348,17 @@ def fine_tune(
     return trained, trace
 
 
-def train_source_model(
-    source: PairDataset, topology: SiameseTopology, budget: int, seed: int
-) -> BaseModel:
-    """Train a scratch model on every source row for `budget` steps."""
-    if len(source) == 0:
-        raise ValueError("source dataset is empty")
-    config = TrainConfig(iterations=budget, seed=seed)
-    trained, _ = fine_tune(init_scratch(topology, seed), np.arange(len(source)), source, config)
-    return trained
-
-
 def pretrain_extractor(
     source: PairDataset, topology: SiameseTopology, budget: int, seed: int
 ) -> PretrainedExtractor:
-    """Train on the auxiliary source task, then freeze the extractor.
+    """Train a scratch model on every source row for `budget` steps, then
+    freeze its extractor.
 
     The source dataset must be disjoint from any evaluation data; with
     budget 0 the extractor equals its scratch initialization.
     """
-    trained = train_source_model(source, topology, budget, seed)
+    config = TrainConfig(iterations=budget)
+    trained, _ = fine_tune(init_scratch(topology, seed), np.arange(len(source)), source, config)
     return PretrainedExtractor(
         extractor_sizes=topology.extractor_sizes,
         weights=trained.extractor_weights.copy(),

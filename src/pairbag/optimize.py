@@ -8,7 +8,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class TrainConfig:
             raise ValueError("adam betas must lie in (0, 1)")
         if not self.adam_eps > 0:
             raise ValueError("adam_eps must be > 0")
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=int(seed))
 
 
 @dataclass

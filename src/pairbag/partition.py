@@ -53,24 +53,6 @@ class ChunkPlan:
             raise IndexError(f"chunk id {chunk_id} outside 1..{self.chunk_count}")
         return self.chunks[chunk_id - 1]
 
-    def to_record(self) -> dict:
-        """Human-readable record for audit and exact replay."""
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "chunks": self.chunks.tolist(),
-            "dropped": self.dropped.tolist(),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ChunkPlan":
-        return cls(
-            k=int(record["k"]),
-            chunks=np.array(record["chunks"], dtype=np.int64),
-            dropped=np.array(record["dropped"], dtype=np.int64),
-            seed=int(record["seed"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ChunkAssignment:
@@ -93,21 +75,6 @@ class ChunkAssignment:
             raise ValueError("assigned chunk ids must be distinct")
         assigned.setflags(write=False)
         object.__setattr__(self, "assigned", assigned)
-
-    def to_record(self) -> dict:
-        return {
-            "model_count": self.model_count,
-            "seed": self.seed,
-            "assigned": self.assigned.tolist(),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ChunkAssignment":
-        return cls(
-            model_count=int(record["model_count"]),
-            assigned=np.array(record["assigned"], dtype=np.int64),
-            seed=int(record["seed"]),
-        )
 
 
 def make_chunk_plan(dataset: PairDataset, k: int, seed: int) -> ChunkPlan:

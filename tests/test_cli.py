@@ -109,6 +109,14 @@ class TestSweep:
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
         assert (a / "results.jsonl").read_bytes() == (b / "results.jsonl").read_bytes()
 
+    def test_worker_count_does_not_change_outputs(self, tmp_path, tiny_config):
+        a = tmp_path / "one"
+        b = tmp_path / "two"
+        assert main(["sweep", "--config", tiny_config, "--out", str(a), "--workers", "1"]) == 0
+        assert main(["sweep", "--config", tiny_config, "--out", str(b), "--workers", "2"]) == 0
+        assert (a / "results.jsonl").read_bytes() == (b / "results.jsonl").read_bytes()
+        assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
     def test_trials_flag_overrides_config(self, tmp_path, tiny_config):
         out = tmp_path / "results"
         assert main(
@@ -284,5 +292,5 @@ class TestConfigErrors:
             ) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "non-finite" in err
-            for part in ("arm scratch", "k=2", "|M|=1", "trial 0", "member 1"):
+            for part in ("arm scratch", "k=2", "|M|=1", "trial 0", "member 1", "iteration"):
                 assert part in err, (workers, part, err)

@@ -7,7 +7,6 @@ from pairbag.data import (
     KShotDraw,
     ManifestError,
     PairDataset,
-    PairSample,
     SyntheticSpec,
     change_direction,
     draw_k_shot,
@@ -22,24 +21,6 @@ def small_dataset(n_pos=4, n_neg=10, d=3, seed=7):
         d=d, n_pos=n_pos, n_neg=n_neg, separation=2.0, noise_scale=0.5, seed=seed
     )
     return generate_synthetic(spec)
-
-
-class TestPairSample:
-    def test_valid_sample(self):
-        s = PairSample(np.zeros(4), np.ones(4), 1)
-        assert s.label == 1
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            PairSample(np.zeros(4), np.zeros(5), 0)
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(ValueError, match="label"):
-            PairSample(np.zeros(2), np.zeros(2), 2)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError, match="1-D"):
-            PairSample(np.zeros((2, 2)), np.zeros((2, 2)), 0)
 
 
 class TestPairDataset:
@@ -57,13 +38,6 @@ class TestPairDataset:
             ds.pre[0, 0] = 1.0
         with pytest.raises(ValueError):
             ds.labels[0] = 0
-
-    def test_getitem_returns_matching_sample(self):
-        ds = small_dataset()
-        s = ds[2]
-        np.testing.assert_array_equal(s.pre, ds.pre[2])
-        np.testing.assert_array_equal(s.post, ds.post[2])
-        assert s.label == int(ds.labels[2])
 
     def test_requires_at_least_one_negative(self):
         with pytest.raises(ValueError, match="negative"):

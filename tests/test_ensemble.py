@@ -7,7 +7,6 @@ from pairbag.data import KShotDraw, SyntheticSpec, draw_k_shot, generate_synthet
 from pairbag.ensemble import (
     Ensemble,
     member_scores,
-    predict_label,
     predict_score,
     train_ensemble,
 )
@@ -141,25 +140,6 @@ class TestPrediction:
             for member in ens.models:
                 total = total + forward(member, pre, post)
             np.testing.assert_allclose(predict_score(ens, pre, post), total / m, atol=1e-15)
-
-    def test_scalar_pair_returns_float(self):
-        ens = untrained_ensemble(3, small_topology())
-        rng = np.random.default_rng(2)
-        score = predict_score(ens, rng.standard_normal(4), rng.standard_normal(4))
-        assert isinstance(score, float)
-        assert 0.0 < score < 1.0
-
-    def test_label_thresholds_at_half(self):
-        ens = untrained_ensemble(3, small_topology())
-        rng = np.random.default_rng(3)
-        pre = rng.standard_normal((40, 4))
-        post = rng.standard_normal((40, 4))
-        scores = predict_score(ens, pre, post)
-        labels = predict_label(ens, pre, post)
-        np.testing.assert_array_equal(labels, (scores >= 0.5).astype(np.int64))
-        single = predict_label(ens, pre[0], post[0])
-        assert single in (0, 1)
-        assert single == int(scores[0] >= 0.5)
 
     def test_member_scores_shape_and_content(self):
         ens = untrained_ensemble(4, small_topology())

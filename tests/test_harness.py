@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from pairbag import harness
 from pairbag.calibrate import CalibrationReport
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.harness import (
@@ -20,7 +22,6 @@ from pairbag.harness import (
     load_reports_jsonl,
     run_experiment,
     run_trial,
-    split_holdout,
     split_indices,
     summarize,
     summary_csv,
@@ -146,7 +147,8 @@ class TestSplit:
     def test_stratified_counts(self):
         """Each class sends round(count * fraction) rows to the test side."""
         ds = self.dataset(40, 100)
-        train, test = split_holdout(ds, 0.3, 17)
+        train_idx, test_idx = split_indices(ds, 0.3, 17)
+        train, test = ds.subset(train_idx), ds.subset(test_idx)
         assert len(test.positives) == 12 and len(test.negatives) == 30
         assert len(train.positives) == 28 and len(train.negatives) == 70
 
@@ -289,10 +291,28 @@ class TestRunExperiment:
         parallel = run_experiment(spec, workers=2)
         assert [r.to_record() for r in serial] == [r.to_record() for r in parallel]
 
-    def test_infeasible_spec_errors_before_any_training(self):
+    def test_infeasible_spec_errors_before_any_training(self, monkeypatch):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for an infeasible spec")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
         spec = tiny_spec(sizes=(30,))
         with pytest.raises(ValueError, match="infeasible spec"):
             run_experiment(spec)
+
+    def test_parallel_sweep_pretrains_once(self, tmp_path, monkeypatch):
+        """Pool workers reuse the parent's context instead of rebuilding it."""
+        log = tmp_path / "pretrain-pids"
+        real = harness.pretrain_extractor
+
+        def logged(*args):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "pretrain_extractor", logged)
+        run_experiment(tiny_spec(), workers=2)
+        assert log.read_text().splitlines() == [str(os.getpid())]
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):

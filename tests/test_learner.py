@@ -11,14 +11,12 @@ from pairbag.learner import (
     SiameseTopology,
     TrainingError,
     default_topology,
-    extract_features,
     fine_tune,
     forward,
     init_bound,
     init_scratch,
     init_transfer,
     pretrain_extractor,
-    train_source_model,
 )
 from pairbag.optimize import TrainConfig
 
@@ -140,14 +138,6 @@ class TestForward:
         scores = forward(model, rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
         np.testing.assert_array_equal(scores, np.full(5, 0.5))
 
-    def test_single_vector_returns_float(self):
-        rng = np.random.default_rng(3)
-        model = init_scratch(random_topology(rng), 7)
-        d = model.topology.input_dim
-        score = forward(model, rng.standard_normal(d), rng.standard_normal(d))
-        assert isinstance(score, float)
-        assert 0.0 < score < 1.0
-
     def test_scores_inside_unit_interval(self):
         rng = np.random.default_rng(11)
         model = init_scratch(random_topology(rng), 13)
@@ -156,15 +146,22 @@ class TestForward:
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
 
     def test_branches_share_the_extractor(self):
-        """Swapping which branch a vector enters only permutes the concat
-        blocks, because both branches apply identical extractor weights."""
+        """With a head that weighs both feature blocks alike, swapping pre and
+        post leaves every score unchanged, because both branches apply
+        identical extractor weights."""
         rng = np.random.default_rng(23)
         model = init_scratch(random_topology(rng), 5)
-        d = model.topology.input_dim
-        x = rng.standard_normal((4, d))
-        feats = extract_features(model, x)
-        per_row = np.stack([extract_features(model, x[i]) for i in range(4)])
-        np.testing.assert_allclose(feats, per_row, atol=1e-15)
+        t, f = model.topology, model.topology.feature_size
+        weights = model.weights.copy()
+        start = t.extractor_param_count
+        w1 = weights[start : start + t.head_hidden * 2 * f].reshape(t.head_hidden, 2 * f)
+        w1[:, f:] = w1[:, :f]  # the head's first layer weighs pre and post features alike
+        symmetric = BaseModel(t, weights)
+        pre = rng.standard_normal((4, t.input_dim))
+        post = rng.standard_normal((4, t.input_dim))
+        np.testing.assert_allclose(
+            forward(symmetric, pre, post), forward(symmetric, post, pre), atol=1e-15
+        )
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(4)
@@ -172,6 +169,8 @@ class TestForward:
         d = model.topology.input_dim
         with pytest.raises(ValueError, match="input dim"):
             forward(model, np.zeros((2, d + 1)), np.zeros((2, d + 1)))
+        with pytest.raises(ValueError, match="input dim"):
+            forward(model, np.zeros(d), np.zeros(d))
 
 
 class TestInitScratch:
@@ -319,7 +318,7 @@ class TestFineTune:
         model = init_scratch(self.small_topology(), 3)
 
         def broken(model_, pre, post, targets):
-            return float("nan"), np.zeros(model_.weights.size)
+            raise TrainingError("non-finite loss in forward pass")
 
         monkeypatch.setattr(learner, "loss_and_gradient", broken)
         with pytest.raises(TrainingError, match="iteration 1"):
@@ -335,10 +334,14 @@ class TestPretraining:
         assert ext.source_seed == 21
 
     def test_training_reduces_source_loss(self):
+        """The frozen extractor is that of a scratch model fine-tuned on every
+        source row, and that model fits the source task."""
         source = separable_dataset(n_pos=20, n_neg=20, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
-        model = train_source_model(source, t, 150, 21)
         init = init_scratch(t, 21)
+        model, _ = fine_tune(init, np.arange(len(source)), source, TrainConfig(iterations=150))
+        ext = pretrain_extractor(source, t, 150, 21)
+        np.testing.assert_array_equal(ext.weights, model.extractor_weights)
         labels = source.labels
         trained_acc = np.mean((forward(model, source.pre, source.post) >= 0.5) == labels)
         init_acc = np.mean((forward(init, source.pre, source.post) >= 0.5) == labels)

@@ -42,11 +42,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="adam_eps"):
             TrainConfig(iterations=1, adam_eps=0.0)
 
-    def test_with_seed(self):
-        cfg = TrainConfig(iterations=3, seed=1)
-        assert cfg.with_seed(9).seed == 9
-        assert cfg.seed == 1
-
 
 class TestSmoothTarget:
     def test_known_values(self):

@@ -92,13 +92,6 @@ class TestChunkPlanType:
         with pytest.raises(ValueError, match="disjoint"):
             ChunkPlan(k=2, chunks=np.array([[1, 2]]), dropped=np.array([2]), seed=0)
 
-    def test_record_round_trip(self):
-        plan = make_chunk_plan(dataset(n_neg=23), 4, 9)
-        back = ChunkPlan.from_record(plan.to_record())
-        assert back.k == plan.k and back.seed == plan.seed
-        np.testing.assert_array_equal(back.chunks, plan.chunks)
-        np.testing.assert_array_equal(back.dropped, plan.dropped)
-
 
 class TestAssignChunks:
     def test_assigns_distinct_valid_ids(self):
