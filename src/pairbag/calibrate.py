@@ -54,13 +54,6 @@ class CalibrationReport:
             raise ValueError(f"rms error above 100 percent: {self.rms_error}")
         object.__setattr__(self, "bins", tuple(tuple(b) for b in self.bins))
 
-    def to_record(self) -> dict:
-        return {
-            "rms_error": self.rms_error,
-            "mad_error": self.mad_error,
-            "bins": [[int(c), float(m), float(a)] for c, m, a in self.bins],
-        }
-
     @classmethod
     def from_record(cls, record: dict) -> "CalibrationReport":
         return cls(
@@ -133,7 +126,6 @@ class CalibrationAggregate:
     std_rms: float
     mean_mad: float
     std_mad: float
-    count: int
 
 
 def aggregate_calibration(reports: Iterable[CalibrationReport]) -> CalibrationAggregate:
@@ -148,5 +140,4 @@ def aggregate_calibration(reports: Iterable[CalibrationReport]) -> CalibrationAg
         std_rms=float(rms.std(ddof=1)),
         mean_mad=float(mad.mean()),
         std_mad=float(mad.std(ddof=1)),
-        count=len(reports),
     )

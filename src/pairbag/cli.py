@@ -22,9 +22,11 @@ from pairbag.data import SyntheticSpec, generate_synthetic, save_manifest
 from pairbag.harness import (
     ARMS,
     ExperimentSpec,
+    ImprovementRow,
     SweepSummary,
     load_reports_jsonl,
     load_summary_csv,
+    rows_csv,
     run_experiment,
     summarize,
     summary_csv,
@@ -180,15 +182,6 @@ def render_calibration_table(summary: SweepSummary) -> str:
     return _render_table(header, rows)
 
 
-def improvements_csv(summary: SweepSummary) -> str:
-    lines = ["kind,arm,k,from_size,to_size,improvement"]
-    for r in summary.improvements:
-        lines.append(
-            f"{r.kind},{r.arm},{r.k},{r.from_size},{r.to_size},{r.improvement!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -241,7 +234,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = args.out if args.out is not None else results.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report_cells.csv").write_text(summary_csv(summary))
-    (out_dir / "report_improvements.csv").write_text(improvements_csv(summary))
+    (out_dir / "report_improvements.csv").write_text(
+        rows_csv(ImprovementRow, summary.improvements)
+    )
     print(render_cell_table(summary))
     print()
     print(render_calibration_table(summary))

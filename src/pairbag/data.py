@@ -9,6 +9,7 @@ inputs and a seed.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,10 +102,10 @@ class SyntheticSpec:
             raise ValueError(f"n_pos must be >= 0, got {self.n_pos}")
         if self.n_neg < 1:
             raise ValueError(f"n_neg must be >= 1, got {self.n_neg}")
-        if self.separation < 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
-        if not self.noise_scale > 0:
-            raise ValueError(f"noise_scale must be > 0, got {self.noise_scale}")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
+            raise ValueError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,8 @@ def _write_vector(path: Path, vec: np.ndarray) -> None:
 def load_manifest(path: str | Path) -> PairDataset:
     """Load a dataset from a manifest CSV and its referenced vector files.
 
-    Errors name the offending 1-based data row. An empty manifest is
-    rejected because the dataset invariant requires at least one negative.
+    Errors name the offending 1-based data row, a non-finite vector value
+    included. An empty manifest is rejected: a dataset needs a negative.
     """
     path = Path(path)
     if not path.is_file():
@@ -250,9 +251,14 @@ def load_manifest(path: str | Path) -> PairDataset:
             labels.append(int(label_text))
     if not pres:
         raise ManifestError(f"manifest {path} has no data rows")
+    pre, post = np.array(pres), np.array(posts)
+    finite = np.isfinite(pre).all(axis=1) & np.isfinite(post).all(axis=1)
+    if not finite.all():
+        row_no = int(np.argmin(finite)) + 1
+        raise ManifestError(f"manifest row {row_no}: vector holds a non-finite value")
     if not any(lab == 0 for lab in labels):
         raise ManifestError(f"manifest {path} has no negative samples")
-    return PairDataset(np.array(pres), np.array(posts), np.array(labels))
+    return PairDataset(pre, post, np.array(labels))
 
 
 def save_manifest(dataset: PairDataset, out_dir: str | Path) -> Path:

@@ -94,7 +94,7 @@ def train_ensemble(
             init = init_scratch(topology, model_seed)
         else:
             init = init_transfer(topology, pretrained, model_seed)
-        indices = base_training_set(dataset, draw, plan, assignment, i)
+        indices = base_training_set(draw, plan, assignment, i)
         try:
             trained, _ = fine_tune(init, indices, dataset, config)
         except TrainingError as exc:

@@ -34,7 +34,7 @@ from pairbag.learner import (
     pretrain_extractor,
 )
 from pairbag.optimize import TrainConfig
-from pairbag.partition import assign_chunks, make_chunk_plan
+from pairbag.partition import assign_chunks, base_training_set, make_chunk_plan
 from pairbag.seeding import (
     ASSIGN_STREAM,
     DRAW_STREAM,
@@ -159,15 +159,10 @@ class TrialReport:
         object.__setattr__(self, "calibrations", tuple(self.calibrations))
 
     def to_record(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "arm": self.arm,
-            "k": self.k,
-            "ensemble_size": self.ensemble_size,
-            "accuracy": self.accuracy,
-            "leakage_overlap": self.leakage_overlap,
-            "calibrations": [c.to_record() for c in self.calibrations],
-        }
+        """The fields as a JSON-ready dict; each calibration is a dict of its fields."""
+        record = _field_dict(self)
+        record["calibrations"] = [_field_dict(c) for c in self.calibrations]
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "TrialReport":
@@ -191,7 +186,6 @@ class CellSummary:
     arm: str
     k: int
     ensemble_size: int
-    trials: int
     mean_acc: float
     std_acc: float
     mean_rms_cal: float
@@ -500,12 +494,11 @@ def run_trial(
     except TrainingError as exc:
         raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
 
-    # Leakage guard: map train-relative D_i rows to original dataset rows
-    # and demand an empty intersection with the test rows.
+    # Leakage guard: map each member's train-relative D_i rows to original
+    # dataset rows and demand an empty intersection with the test rows.
     overlap = 0
     for i in range(1, m + 1):
-        d_i = np.concatenate([draw.indices, plan.chunk(int(assignment.assigned[i - 1]))])
-        original = context.train_idx[d_i]
+        original = context.train_idx[base_training_set(draw, plan, assignment, i)]
         overlap += int(np.intersect1d(original, context.test_idx).size)
     if overlap:
         raise LeakageError(f"{overlap} training rows leaked into the test set")
@@ -598,7 +591,6 @@ def summarize(reports: list[TrialReport]) -> SweepSummary:
                 arm=arm,
                 k=k,
                 ensemble_size=m,
-                trials=len(group),
                 mean_acc=float(acc.mean()),
                 std_acc=float(acc.std(ddof=1)),
                 mean_rms_cal=cal.mean_rms,
@@ -612,17 +604,27 @@ def summarize(reports: list[TrialReport]) -> SweepSummary:
 
 # --- results files -----------------------------------------------------------
 
-SUMMARY_COLUMNS = (
-    "arm",
-    "k",
-    "ensemble_size",
-    "mean_acc",
-    "std_acc",
-    "mean_rms_cal",
-    "std_rms_cal",
-    "mean_mad_cal",
-    "std_mad_cal",
-)
+
+def _field_dict(obj) -> dict:
+    """Shallow dict of a dataclass instance's fields (values are not copied)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def rows_csv(cls, rows) -> str:
+    """CSV whose header is cls's field names and whose lines are the rows' fields.
+
+    str values are written as they are and every other value through repr,
+    so floats keep full precision.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    lines = [",".join(names)]
+    for row in rows:
+        values = (getattr(row, name) for name in names)
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(CellSummary))
 
 
 def write_reports_jsonl(reports: list[TrialReport], path: str | Path) -> None:
@@ -648,14 +650,8 @@ def load_reports_jsonl(path: str | Path) -> list[TrialReport]:
 
 
 def summary_csv(summary: SweepSummary) -> str:
-    """CSV rendering of the cell table; full float precision via repr."""
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for c in summary.cells:
-        lines.append(
-            f"{c.arm},{c.k},{c.ensemble_size},{c.mean_acc!r},{c.std_acc!r},"
-            f"{c.mean_rms_cal!r},{c.std_rms_cal!r},{c.mean_mad_cal!r},{c.std_mad_cal!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV rendering of the cell table, one column per CellSummary field."""
+    return rows_csv(CellSummary, summary.cells)
 
 
 def write_summary_csv(summary: SweepSummary, path: str | Path) -> None:
@@ -675,21 +671,9 @@ def load_summary_csv(path: str | Path) -> SweepSummary:
         parts = line.split(",")
         if len(parts) != len(SUMMARY_COLUMNS):
             raise ValueError(f"{path} line {lineno}: expected {len(SUMMARY_COLUMNS)} fields")
+        arm, k, ensemble_size, *stats = parts
         try:
-            cells.append(
-                CellSummary(
-                    arm=parts[0],
-                    k=int(parts[1]),
-                    ensemble_size=int(parts[2]),
-                    trials=0,
-                    mean_acc=float(parts[3]),
-                    std_acc=float(parts[4]),
-                    mean_rms_cal=float(parts[5]),
-                    std_rms_cal=float(parts[6]),
-                    mean_mad_cal=float(parts[7]),
-                    std_mad_cal=float(parts[8]),
-                )
-            )
+            cells.append(CellSummary(arm, int(k), int(ensemble_size), *map(float, stats)))
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return SweepSummary(cells=tuple(cells))

@@ -8,6 +8,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.alpha < 1:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
             raise ValueError("adam betas must lie in (0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be > 0")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass

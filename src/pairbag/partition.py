@@ -112,11 +112,7 @@ def assign_chunks(plan: ChunkPlan, model_count: int, seed: int) -> ChunkAssignme
 
 
 def base_training_set(
-    dataset: PairDataset,
-    draw: KShotDraw,
-    plan: ChunkPlan,
-    assignment: ChunkAssignment,
-    i: int,
+    draw: KShotDraw, plan: ChunkPlan, assignment: ChunkAssignment, i: int
 ) -> np.ndarray:
     """Training indices D_i for 1-based base model i: the k-shot positives
     plus model i's assigned negative chunk (size 2k, balanced)."""

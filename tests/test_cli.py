@@ -1,10 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from pairbag.cli import main
+from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
-from pairbag.harness import SUMMARY_COLUMNS, error_rate_improvement, load_reports_jsonl
+from pairbag.harness import (
+    SUMMARY_COLUMNS,
+    default_benchmark,
+    error_rate_improvement,
+    load_reports_jsonl,
+)
 
 TINY_INI = """
 [data]
@@ -80,6 +87,14 @@ class TestGenerate:
         code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_separation_exits_nonzero(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[data]\nseparation = nan\n")
+        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: separation must be finite")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         code = main(["generate", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
@@ -273,6 +288,24 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", "inf"),
+            ("adam_eps", "nan"),
+            ("separation", "nan"),
+            ("noise_scale", "inf"),
+        ],
+    )
+    def test_non_finite_value_is_rejected(self, tmp_path, capsys, key, value):
+        text = TINY_INI + "[train]\nlearning_rate = 0.001\nadam_eps = 1e-8\n"
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "non_finite.ini"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and "Traceback" not in err
+
     def test_missing_section_header(self, tmp_path, capsys):
         path = tmp_path / "headless.ini"
         path.write_text("d = 3\n")
@@ -294,3 +327,8 @@ class TestConfigErrors:
             assert err.startswith("error:") and "non-finite" in err
             for part in ("arm scratch", "k=2", "|M|=1", "trial 0", "member 1", "iteration"):
                 assert part in err, (workers, part, err)
+
+
+def test_default_ini_is_the_default_benchmark():
+    """default.ini and the library defaults describe one experiment."""
+    assert build_spec(load_config(None)) == default_benchmark(trials=200)

@@ -205,6 +205,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="row 1"):
             load_manifest(manifest)
 
+    def test_non_finite_vector_names_row(self, tmp_path):
+        ds = small_dataset(n_pos=2, n_neg=2, d=2)
+        manifest = save_manifest(ds, tmp_path)
+        vec = tmp_path / "pair000002_post.vec"
+        vec.write_bytes(vec.read_bytes()[:4] + np.array([1.0, np.nan], dtype="<f4").tobytes())
+        with pytest.raises(ManifestError, match="row 3: vector holds a non-finite value"):
+            load_manifest(manifest)
+
     def test_dimension_mismatch_across_rows(self, tmp_path):
         ds = small_dataset(n_pos=2, n_neg=2, d=3)
         manifest = save_manifest(ds, tmp_path)

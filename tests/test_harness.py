@@ -15,11 +15,13 @@ from pairbag.harness import (
     DEFAULT_BUDGETS,
     CellSummary,
     ExperimentSpec,
+    ImprovementRow,
     TrialReport,
     build_context,
     default_benchmark,
     error_rate_improvement,
     load_reports_jsonl,
+    rows_csv,
     run_experiment,
     run_trial,
     split_indices,
@@ -327,7 +329,6 @@ class TestSummarize:
         cell = summary.cell("scratch", 2, 1)
         assert cell.mean_acc == 92.0
         assert cell.std_acc == 2.0
-        assert cell.trials == 3
         assert cell.mean_error == pytest.approx(8.0)
         assert cell.mean_rms_cal == 5.0 and cell.std_rms_cal == 0.0
 
@@ -424,6 +425,22 @@ class TestResultsFiles:
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(SUMMARY_COLUMNS)
         assert len(lines) == 1 + 2  # one row per (arm, k, size) cell
+
+    def test_record_holds_every_field(self):
+        report = make_report(0, "scratch", 2, 1, 80.0)
+        record = report.to_record()
+        assert list(record) == [f.name for f in dataclasses.fields(TrialReport)]
+        assert record["calibrations"][0] == {
+            f.name: getattr(report.calibrations[0], f.name)
+            for f in dataclasses.fields(CalibrationReport)
+        }
+
+    def test_rows_csv_writes_strings_as_is_and_the_rest_by_repr(self):
+        row = ImprovementRow("ensemble", "scratch", 5, 1, 20, 0.1 + 0.2)
+        assert rows_csv(ImprovementRow, [row]) == (
+            "kind,arm,k,from_size,to_size,improvement\n"
+            "ensemble,scratch,5,1,20,0.30000000000000004\n"
+        )
 
     def test_summary_csv_floats_round_trip(self):
         reports = [make_report(t, "scratch", 2, 1, 80.0 + 1e-9 * t) for t in range(3)]

@@ -128,7 +128,7 @@ class TestBaseTrainingSet:
         plan = make_chunk_plan(ds, 5, 2)
         assignment = assign_chunks(plan, 4, 3)
         for i in range(1, 5):
-            d_i = base_training_set(ds, draw, plan, assignment, i)
+            d_i = base_training_set(draw, plan, assignment, i)
             assert d_i.size == 10  # balanced: k positives + k negatives
             np.testing.assert_array_equal(d_i[:5], draw.indices)
             np.testing.assert_array_equal(d_i[5:], plan.chunk(int(assignment.assigned[i - 1])))
@@ -139,7 +139,7 @@ class TestBaseTrainingSet:
         draw = draw_k_shot(ds, 5, 1)
         plan = make_chunk_plan(ds, 5, 2)
         assignment = assign_chunks(plan, 6, 3)
-        sets = [set(base_training_set(ds, draw, plan, assignment, i)[5:]) for i in range(1, 7)]
+        sets = [set(base_training_set(draw, plan, assignment, i)[5:]) for i in range(1, 7)]
         for a in range(6):
             for b in range(a + 1, 6):
                 assert not sets[a] & sets[b]
@@ -150,6 +150,6 @@ class TestBaseTrainingSet:
         plan = make_chunk_plan(ds, 5, 2)
         assignment = assign_chunks(plan, 2, 3)
         with pytest.raises(IndexError, match="outside 1..2"):
-            base_training_set(ds, draw, plan, assignment, 0)
+            base_training_set(draw, plan, assignment, 0)
         with pytest.raises(IndexError, match="outside 1..2"):
-            base_training_set(ds, draw, plan, assignment, 3)
+            base_training_set(draw, plan, assignment, 3)
