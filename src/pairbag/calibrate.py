@@ -63,8 +63,9 @@ class CalibrationReport:
         )
 
 
-def records_from_scores(scores: np.ndarray, labels: np.ndarray) -> list[PredictionRecord]:
-    """Turn scorer outputs in [0, 1] plus true 0/1 labels into records.
+def records_from_scores(scores: np.ndarray, labels: np.ndarray) -> np.recarray:
+    """Turn scorer outputs in [0, 1] plus true 0/1 labels into a record array
+    with fields `confidence` and `correct`, one record per score.
 
     The hard decision is score >= 0.5; confidence is max(score, 1 - score).
     """
@@ -72,14 +73,12 @@ def records_from_scores(scores: np.ndarray, labels: np.ndarray) -> list[Predicti
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError(f"scores shape {s.shape} does not match labels {y.shape}")
-    if s.size and (s.min() < 0.0 or s.max() > 1.0):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise ValueError("scores must lie in [0, 1]")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    predicted = s >= 0.5
-    confidence = np.maximum(s, 1.0 - s)
-    correct = predicted == (y == 1)
-    return [PredictionRecord(c, ok) for c, ok in zip(confidence, correct)]
+    correct = (s >= 0.5) == (y == 1)
+    return np.rec.fromarrays([np.maximum(s, 1.0 - s), correct], names="confidence,correct")
 
 
 def calibration_errors(
@@ -87,6 +86,7 @@ def calibration_errors(
 ) -> CalibrationReport:
     """Equal-mass binned calibration errors, in percent.
 
+    records is what records_from_scores returns or a sequence of PredictionRecord.
     Records are stably sorted by confidence and split into bin_count bins
     whose sizes differ by at most one (the first n mod bin_count bins take
     the extra record). Per bin b: g_b = |mean confidence - accuracy|;
@@ -97,8 +97,12 @@ def calibration_errors(
     n = len(records)
     if n < bin_count:
         raise ValueError(f"need at least {bin_count} records, got {n}")
-    confidence = np.array([r.confidence for r in records], dtype=np.float64)
-    correct = np.array([r.correct for r in records], dtype=np.float64)
+    if isinstance(records, np.recarray):
+        confidence = records.confidence
+        correct = records.correct.astype(np.float64)
+    else:
+        confidence = np.array([r.confidence for r in records], dtype=np.float64)
+        correct = np.array([r.correct for r in records], dtype=np.float64)
     order = np.argsort(confidence, kind="stable")
     bins = []
     gap_sum = 0.0

@@ -21,6 +21,8 @@ from pairbag.learner import (
     default_topology,
     fine_tune,
     forward,
+    head_input,
+    head_scores,
     init_scratch,
     init_transfer,
 )
@@ -104,8 +106,17 @@ def train_ensemble(
 
 
 def member_scores(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Per-model scores of n pairs, shape (size, n); used for per-member calibration."""
-    return np.stack([forward(m, pre, post) for m in ensemble.models])
+    """Per-model scores of n pairs, shape (size, n); used for per-member calibration.
+
+    Members with bitwise-equal extractors, as in a transfer ensemble, score one
+    shared head input; the bytes equal a per-member forward pass.
+    """
+    models = ensemble.models
+    extractor = models[0].extractor_weights.tobytes()
+    if any(m.extractor_weights.tobytes() != extractor for m in models[1:]):
+        return np.stack([forward(m, pre, post) for m in models])
+    h = head_input(models[0], pre, post)
+    return np.stack([head_scores(m.head_weights, ensemble.topology, h) for m in models])
 
 
 def predict_score(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:

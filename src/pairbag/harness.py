@@ -181,7 +181,7 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Sample statistics for one (arm, k, ensemble size) cell."""
+    """Sample statistics for one (arm, k, ensemble size) cell; each is checked."""
 
     arm: str
     k: int
@@ -192,6 +192,16 @@ class CellSummary:
     std_rms_cal: float
     mean_mad_cal: float
     std_mad_cal: float
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self)[3:]:
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name.startswith("std_") and value < 0.0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        if not 0.0 <= self.mean_acc <= 100.0:
+            raise ValueError(f"mean_acc must lie in [0, 100], got {self.mean_acc}")
 
     @property
     def mean_error(self) -> float:

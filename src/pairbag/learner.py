@@ -126,11 +126,11 @@ class PretrainedExtractor:
         object.__setattr__(self, "weights", w)
 
 
-def _unpack(weights: np.ndarray, topology: SiameseTopology) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) per layer over the flat vector; W is (out, in)."""
+def _unpack(weights: np.ndarray, shapes: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views (W, b) per layer of `shapes` over the flat vector; W is (out, in)."""
     layers = []
     offset = 0
-    for out, inp in topology.layer_shapes():
+    for out, inp in shapes:
         w = weights[offset : offset + out * inp].reshape(out, inp)
         offset += out * inp
         b = weights[offset : offset + out]
@@ -157,26 +157,15 @@ def _extract(layers: list, x: np.ndarray, acts: list | None = None) -> np.ndarra
     return x
 
 
-def _forward(layers: list, n_ext: int, pre: np.ndarray, post: np.ndarray, keep: bool = False):
-    """Scores of a pair batch: one extractor walk per branch, then the head.
-
-    Returns (scores, cache). With keep, cache holds what backprop reads: per
-    branch the input and every extractor output, the head input h and the
-    head's hidden activation r1. Without it cache is None, so scoring holds
-    no activation past its use.
-    """
-    branches = [[x] if keep else None for x in (pre, post)]
-    h = np.concatenate(
-        [_extract(layers[:n_ext], x, acts) for x, acts in zip((pre, post), branches)], axis=1
-    )
-    (w1, b1), (w2, b2) = layers[n_ext:]
+def _head(layers: list, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of head inputs h and the head's hidden activation r1."""
+    (w1, b1), (w2, b2) = layers
     r1 = np.maximum(h @ w1.T + b1, 0.0)
-    scores = _sigmoid((r1 @ w2.T + b2)[:, 0])
-    return scores, ((branches, h, r1) if keep else None)
+    return _sigmoid((r1 @ w2.T + b2)[:, 0]), r1
 
 
-def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Scores in (0, 1) of n pairs; both branches share the extractor weights.
+def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """The head input [f(pre), f(post)] of n pairs, shape (n, 2f).
 
     pre and post are (n, d) batches; any other shape raises ValueError.
     """
@@ -187,9 +176,58 @@ def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"pair batch shapes {pre.shape} / {post.shape} are not (n, input dim {d})"
         )
-    n_ext = len(model.topology.extractor_sizes) - 1
-    scores, _ = _forward(_unpack(model.weights, model.topology), n_ext, pre, post)
-    return scores
+    layers = _unpack(model.extractor_weights, model.topology.layer_shapes()[:-2])
+    return np.concatenate([_extract(layers, x) for x in (pre, post)], axis=1)
+
+
+def head_scores(head: np.ndarray, topology: SiameseTopology, h: np.ndarray) -> np.ndarray:
+    """Scores in (0, 1) of head inputs h under the flat head weights `head`."""
+    return _head(_unpack(head, topology.layer_shapes()[-2:]), h)[0]
+
+
+def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Scores in (0, 1) of n pairs; both branches share the extractor weights.
+
+    pre and post are (n, d) batches; any other shape raises ValueError.
+    """
+    return head_scores(model.head_weights, model.topology, head_input(model, pre, post))
+
+
+def _head_backward(layers: list, g_layers: list, h: np.ndarray, targets: np.ndarray):
+    """Mean loss of the head on inputs h; adds the head gradient into g_layers.
+
+    Also returns d(loss)/d(first head pre-activation) for the extractor pass.
+    """
+    scores, r1 = _head(layers, h)
+    mean_loss = loss(scores, targets)
+    if not np.isfinite(mean_loss):
+        raise TrainingError("non-finite loss in forward pass")
+    # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs. A ReLU
+    # output is > 0 exactly where its input is, so masks read activations.
+    dlogit = ((scores - targets) / h.shape[0])[:, None]
+    (gw1, gb1), (gw2, gb2) = g_layers
+    gw2 += dlogit.T @ r1
+    gb2 += dlogit.sum(axis=0)
+    dr1 = dlogit @ layers[1][0]
+    dz1 = dr1 * (r1 > 0.0)
+    gw1 += dz1.T @ h
+    gb1 += dz1.sum(axis=0)
+    return mean_loss, dz1
+
+
+def head_loss_and_gradient(
+    head: np.ndarray, topology: SiameseTopology, h: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean smoothed-target BCE of head inputs h and its gradient over `head`:
+    the head slice of loss_and_gradient's for an extractor that maps the
+    batch to h. Raises TrainingError on non-finite intermediates.
+    """
+    shapes = topology.layer_shapes()[-2:]
+    grad = np.zeros_like(head)
+    mean_loss, _ = _head_backward(_unpack(head, shapes), _unpack(grad, shapes), h, targets)
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient")
+    return mean_loss, grad
 
 
 def loss_and_gradient(
@@ -202,31 +240,17 @@ def loss_and_gradient(
     on non-finite intermediates.
     """
     topology = model.topology
-    layers = _unpack(model.weights, topology)
+    shapes = topology.layer_shapes()
+    layers = _unpack(model.weights, shapes)
     n_ext = len(topology.extractor_sizes) - 1
-    n = pre.shape[0]
-    scores, (branches, h, r1) = _forward(layers, n_ext, pre, post, keep=True)
-    mean_loss = loss(scores, targets)
-    if not np.isfinite(mean_loss):
-        raise TrainingError("non-finite loss in forward pass")
+    # Per branch: the input and every extractor output, for backprop.
+    branches = [[pre], [post]]
+    h = np.concatenate([_extract(layers[:n_ext], acts[0], acts) for acts in branches], axis=1)
 
     grad = np.zeros_like(model.weights)
-    g_layers = _unpack(grad, topology)
-
-    # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs. A ReLU
-    # output is > 0 exactly where its input is, so masks read activations.
-    dlogit = ((scores - targets) / n)[:, None]
-    w1 = layers[n_ext][0]
-    w2 = layers[n_ext + 1][0]
-    gw2, gb2 = g_layers[n_ext + 1]
-    gw2 += dlogit.T @ r1
-    gb2 += dlogit.sum(axis=0)
-    dr1 = dlogit @ w2
-    dz1 = dr1 * (r1 > 0.0)
-    gw1, gb1 = g_layers[n_ext]
-    gw1 += dz1.T @ h
-    gb1 += dz1.sum(axis=0)
-    dh = dz1 @ w1
+    g_layers = _unpack(grad, shapes)
+    mean_loss, dz1 = _head_backward(layers[n_ext:], g_layers[n_ext:], h, targets)
+    dh = dz1 @ layers[n_ext][0]
 
     f = topology.feature_size
     for acts, dfeat in zip(branches, (dh[:, :f], dh[:, f:])):
@@ -315,10 +339,10 @@ def fine_tune(
 ) -> tuple[BaseModel, np.ndarray]:
     """Train a model on dataset rows `indices` with full-batch Adam.
 
-    In transfer mode only head parameters change. Returns the trained model
-    and the training-loss trace (one entry per iteration, evaluated before
-    each step; no monotonicity is promised). A TrainingError names the
-    1-based iteration that diverged.
+    In transfer mode the frozen extractor maps the rows to head inputs once
+    and Adam trains the head slice alone. Returns the trained model and the
+    training-loss trace (one entry per iteration, evaluated before each step;
+    no monotonicity is promised). A TrainingError names the 1-based iteration.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -326,24 +350,25 @@ def fine_tune(
     pre = dataset.pre[idx]
     post = dataset.post[idx]
     targets = smooth_target(dataset.labels[idx], config.alpha)
-    weights = model.weights.copy()
-    state = AdamState.zeros(weights.size)
+    topology = model.topology
+    n_frozen = topology.extractor_param_count if model.init_mode == "transfer" else 0
+    h = head_input(model, pre, post) if n_frozen else None
+    trainable = model.weights[n_frozen:]
+    state = AdamState.zeros(trainable.size)
     trace = np.empty(config.iterations)
-    n_frozen = model.topology.extractor_param_count if model.init_mode == "transfer" else 0
     for step in range(config.iterations):
-        step_model = BaseModel(
-            topology=model.topology, weights=weights, init_mode=model.init_mode
-        )
         try:
-            step_loss, grad = loss_and_gradient(step_model, pre, post, targets)
+            if n_frozen:
+                trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets)
+            else:
+                step_model = BaseModel(topology, trainable)
+                trace[step], grad = loss_and_gradient(step_model, pre, post, targets)
         except TrainingError as exc:
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
-        if n_frozen:
-            grad[:n_frozen] = 0.0  # zero grad + zero moments leave frozen slice bitwise intact
-        weights, state = adam_step(weights, grad, state, config)
-        trace[step] = step_loss
+        trainable, state = adam_step(trainable, grad, state, config)
+    weights = np.concatenate([model.weights[:n_frozen], trainable])
     trained = BaseModel(
-        topology=model.topology, weights=weights, init_mode=model.init_mode, trained=True
+        topology=topology, weights=weights, init_mode=model.init_mode, trained=True
     )
     return trained, trace
 

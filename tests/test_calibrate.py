@@ -65,9 +65,23 @@ class TestRecordsFromScores:
         # decisions: 1, 0, 1 against labels 1, 0, 0
         assert [r.correct for r in records] == [True, True, False]
 
+    def test_array_records_calibrate_like_a_record_list(self):
+        """calibration_errors gives the same report for the array-backed
+        records as for the same records as a list of PredictionRecord."""
+        rng = np.random.default_rng(9)
+        for n in (15, 16, 200, 6061):
+            scores = rng.uniform(0.0, 1.0, n)
+            scores[: n // 5] = 0.5  # ties in confidence
+            labels = rng.integers(0, 2, n)
+            records = records_from_scores(scores, labels)
+            as_list = [PredictionRecord(r.confidence, r.correct) for r in records]
+            assert calibration_errors(records) == calibration_errors(as_list)
+
     def test_rejects_scores_outside_unit_interval(self):
         with pytest.raises(ValueError, match="scores"):
             records_from_scores(np.array([1.2]), np.array([1]))
+        with pytest.raises(ValueError, match="scores"):
+            records_from_scores(np.array([np.nan]), np.array([1]))
 
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError, match="labels"):

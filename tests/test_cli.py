@@ -225,6 +225,18 @@ class TestReport:
         assert err.startswith("error:") and "Traceback" not in err
         assert "arm=transfer, k=5, ensemble_size=5" in err
 
+    def test_out_of_range_cell_statistics_are_errors(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            ",".join(SUMMARY_COLUMNS) + "\n"
+            "scratch,5,1,nan,1.0,5.0,1.0,4.0,1.0\n"
+            "scratch,5,5,150.0,-1.0,5.0,1.0,4.0,1.0\n"
+        )
+        assert main(["report", "--results", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "line 2" in err and "mean_acc" in err
+
 
 @pytest.mark.parametrize(
     "args",
@@ -315,18 +327,25 @@ class TestConfigErrors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training(self, tmp_path, capsys):
-        """The message names where the run diverged, also from a worker process."""
+        """The message names where the run diverged, also from a worker process.
+
+        Each arm runs alone: scratch trains the whole network, transfer its head.
+        """
         path = tmp_path / "diverge.ini"
-        path.write_text(TINY_INI + "[train]\nlearning_rate = 1e200\n")
-        for workers in ("1", "2"):
-            out = tmp_path / f"out{workers}"
-            assert main(
-                ["sweep", "--config", str(path), "--out", str(out), "--workers", workers]
-            ) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "non-finite" in err
-            for part in ("arm scratch", "k=2", "|M|=1", "trial 0", "member 1", "iteration"):
-                assert part in err, (workers, part, err)
+        for arm in ("scratch", "transfer"):
+            path.write_text(
+                TINY_INI.replace("arms = scratch, transfer", f"arms = {arm}")
+                + "[train]\nlearning_rate = 1e200\n"
+            )
+            for workers in ("1", "2"):
+                out = tmp_path / f"out{workers}"
+                assert main(
+                    ["sweep", "--config", str(path), "--out", str(out), "--workers", workers]
+                ) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and "non-finite" in err
+                for part in (f"arm {arm}", "k=2", "|M|=1", "trial 0", "member 1", "iteration"):
+                    assert part in err, (workers, part, err)
 
 
 def test_default_ini_is_the_default_benchmark():

@@ -10,7 +10,13 @@ from pairbag.ensemble import (
     predict_score,
     train_ensemble,
 )
-from pairbag.learner import SiameseTopology, forward, init_scratch
+from pairbag.learner import (
+    PretrainedExtractor,
+    SiameseTopology,
+    forward,
+    init_scratch,
+    init_transfer,
+)
 from pairbag.optimize import TrainConfig
 from pairbag.partition import ChunkAssignment, assign_chunks, make_chunk_plan
 
@@ -153,3 +159,23 @@ class TestPrediction:
         np.testing.assert_allclose(
             per_model.mean(axis=0), predict_score(ens, pre, post), atol=1e-15
         )
+
+    def test_shared_extractor_scores_equal_forward_loop_bytewise(self):
+        """Members sharing one frozen extractor are scored from one head input;
+        the bytes equal a per-member forward pass."""
+        t = small_topology()
+        pretrained = PretrainedExtractor(
+            t.extractor_sizes, init_scratch(t, 3).extractor_weights.copy(), 3
+        )
+        models = tuple(init_transfer(t, pretrained, seed) for seed in range(5))
+        ens = Ensemble(
+            models=models,
+            assignment=ChunkAssignment(5, np.arange(1, 6), 0),
+            draw=KShotDraw(k=2, indices=np.array([0, 1]), seed=0),
+            seed=0,
+        )
+        rng = np.random.default_rng(12)
+        pre = rng.standard_normal((700, 4))
+        post = rng.standard_normal((700, 4))
+        loop = np.stack([forward(m, pre, post) for m in models])
+        assert np.array_equal(member_scores(ens, pre, post), loop)

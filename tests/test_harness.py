@@ -321,6 +321,25 @@ class TestRunExperiment:
             run_experiment(tiny_spec(), workers=0)
 
 
+@pytest.mark.parametrize(
+    "field_name, value, message",
+    [
+        ("mean_acc", float("nan"), "mean_acc must be finite"),
+        ("mean_acc", 150.0, r"mean_acc must lie in \[0, 100\]"),
+        ("mean_acc", -0.5, r"mean_acc must lie in \[0, 100\]"),
+        ("std_acc", -1.0, "std_acc must be >= 0"),
+        ("mean_rms_cal", float("inf"), "mean_rms_cal must be finite"),
+        ("std_mad_cal", -1e-9, "std_mad_cal must be >= 0"),
+    ],
+)
+def test_cell_summary_checks_its_statistics(field_name, value, message):
+    stats = dict(mean_acc=80.0, std_acc=1.0, mean_rms_cal=5.0, std_rms_cal=1.0,
+                 mean_mad_cal=4.0, std_mad_cal=1.0)
+    stats[field_name] = value
+    with pytest.raises(ValueError, match=message):
+        CellSummary("scratch", 5, 1, **stats)
+
+
 class TestSummarize:
     def test_known_cell_statistics(self):
         """Accuracies 90, 92, 94 give mean 92 and sample std exactly 2."""

@@ -13,12 +13,15 @@ from pairbag.learner import (
     default_topology,
     fine_tune,
     forward,
+    head_input,
+    head_loss_and_gradient,
     init_bound,
     init_scratch,
     init_transfer,
+    loss_and_gradient,
     pretrain_extractor,
 )
-from pairbag.optimize import TrainConfig
+from pairbag.optimize import AdamState, TrainConfig, adam_step, smooth_target
 
 
 def oracle_forward(model, pre, post):
@@ -301,6 +304,29 @@ class TestFineTune:
         np.testing.assert_array_equal(trained.extractor_weights, pretrained.weights)
         assert not np.array_equal(trained.head_weights, model.head_weights)
 
+    def test_transfer_mode_matches_full_vector_training_bytewise(self):
+        """Head-only transfer training gives the bytes of the full-vector loop
+        that zeroes the extractor gradient before each Adam step."""
+        ds = separable_dataset()
+        t = self.small_topology()
+        pretrained = PretrainedExtractor(
+            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy(), 11
+        )
+        model = init_transfer(t, pretrained, 12)
+        cfg = TrainConfig(iterations=30, learning_rate=0.01)
+        targets = smooth_target(ds.labels, cfg.alpha)
+        weights, state, trace = model.weights.copy(), AdamState.zeros(t.param_count), []
+        for _ in range(cfg.iterations):
+            step_loss, grad = loss_and_gradient(
+                BaseModel(t, weights, "transfer"), ds.pre, ds.post, targets
+            )
+            grad[: t.extractor_param_count] = 0.0
+            weights, state = adam_step(weights, grad, state, cfg)
+            trace.append(step_loss)
+        trained, got_trace = fine_tune(model, np.arange(len(ds)), ds, cfg)
+        assert np.array_equal(trained.weights, weights)
+        assert np.array_equal(got_trace, trace)
+
     def test_scratch_mode_moves_extractor(self):
         ds = separable_dataset()
         model = init_scratch(self.small_topology(), 11)
@@ -323,6 +349,27 @@ class TestFineTune:
         monkeypatch.setattr(learner, "loss_and_gradient", broken)
         with pytest.raises(TrainingError, match="iteration 1"):
             fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=5))
+
+
+class TestHeadLossAndGradient:
+    def test_equals_head_slice_of_full_gradient_bytewise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            t = random_topology(rng)
+            pretrained = PretrainedExtractor(
+                t.extractor_sizes, init_scratch(t, 1).extractor_weights.copy(), 1
+            )
+            model = init_transfer(t, pretrained, int(rng.integers(1 << 30)))
+            n = int(rng.integers(1, 12))
+            pre = rng.standard_normal((n, t.input_dim))
+            post = rng.standard_normal((n, t.input_dim))
+            targets = smooth_target(rng.integers(0, 2, n), 0.1)
+            full_loss, full = loss_and_gradient(model, pre, post, targets)
+            head_loss, head = head_loss_and_gradient(
+                model.head_weights, t, head_input(model, pre, post), targets
+            )
+            assert head_loss == full_loss
+            assert np.array_equal(head, full[t.extractor_param_count :])
 
 
 class TestPretraining:
