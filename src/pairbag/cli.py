@@ -29,7 +29,7 @@ from pairbag.harness import (
     rows_csv,
     run_experiment,
     summarize,
-    summary_csv,
+    write_atomic,
     write_reports_jsonl,
     write_summary_csv,
 )
@@ -233,10 +233,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         summary = summarize(load_reports_jsonl(results))
     out_dir = args.out if args.out is not None else results.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report_cells.csv").write_text(summary_csv(summary))
-    (out_dir / "report_improvements.csv").write_text(
-        rows_csv(ImprovementRow, summary.improvements)
-    )
+    write_summary_csv(summary, out_dir / "report_cells.csv")
+    write_atomic(out_dir / "report_improvements.csv", rows_csv(ImprovementRow, summary.improvements))
     print(render_cell_table(summary))
     print()
     print(render_calibration_table(summary))
@@ -256,7 +254,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             f"{c.arm},{c.k},{c.mean_rms_cal!r},{c.std_rms_cal!r},"
             f"{c.mean_mad_cal!r},{c.std_mad_cal!r}"
         )
-    (args.out / "calibration.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(args.out / "calibration.csv", "\n".join(lines) + "\n")
     print(render_calibration_table(summary))
     print(f"\nwrote {args.out / 'calibration.jsonl'} and {args.out / 'calibration.csv'}")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,8 +108,10 @@ class ExperimentSpec:
         object.__setattr__(
             self, "budgets", tuple((a, int(k), int(b)) for a, k, b in self.budgets)
         )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise ValueError(
+                f"trials must be >= 2, got {self.trials}: each cell's std needs two trials"
+            )
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if not self.k_shots or any(k < 1 for k in self.k_shots):
@@ -117,8 +120,10 @@ class ExperimentSpec:
             raise ValueError(f"ensemble_sizes must be positive, got {self.ensemble_sizes}")
         if not self.arms or any(a not in ARMS for a in self.arms):
             raise ValueError(f"arms must be a nonempty subset of {ARMS}, got {self.arms}")
-        if len(set(self.arms)) != len(self.arms):
-            raise ValueError(f"duplicate arms in {self.arms}")
+        for name in ("arms", "k_shots", "ensemble_sizes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {values}")
         if self.pretrain_budget < 0 or self.source_size < 1:
             raise ValueError("pretrain_budget must be >= 0 and source_size >= 1")
         if self.source_tasks < 1:
@@ -637,11 +642,26 @@ def rows_csv(cls, rows) -> str:
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(CellSummary))
 
 
-def write_reports_jsonl(reports: list[TrialReport], path: str | Path) -> None:
-    """One TrialReport JSON object per line, in the given order."""
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through `<name>.tmp` beside it and a rename.
+
+    path holds either its old bytes or all of the new ones; on failure the
+    temp file is removed and the error propagates.
+    """
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_reports_jsonl(reports: list[TrialReport], path: str | Path) -> None:
+    """One TrialReport JSON object per line, in the given order, written atomically."""
     lines = [json.dumps(r.to_record(), sort_keys=True) for r in reports]
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_reports_jsonl(path: str | Path) -> list[TrialReport]:
@@ -665,7 +685,7 @@ def summary_csv(summary: SweepSummary) -> str:
 
 
 def write_summary_csv(summary: SweepSummary, path: str | Path) -> None:
-    Path(path).write_text(summary_csv(summary))
+    write_atomic(path, summary_csv(summary))
 
 
 def load_summary_csv(path: str | Path) -> SweepSummary:

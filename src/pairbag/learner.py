@@ -3,8 +3,8 @@
 A base model applies one feature extractor to both the pre and post vectors,
 concatenates the two feature blocks, and maps them through a hidden layer
 (width 128 by default) to a single logit; the score is its sigmoid. Weights
-live in one flat float64 vector so training, freezing, and serialization can
-treat the model as plain numerics.
+live in one flat float64 vector so training and freezing can treat the model
+as plain numerics.
 
 Two initialization modes exist: `scratch` (every parameter trains) and
 `transfer` (the extractor is copied from a frozen pretrained one and only
@@ -82,7 +82,6 @@ class BaseModel:
     topology: SiameseTopology
     weights: np.ndarray
     init_mode: str = "scratch"
-    trained: bool = False
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -113,7 +112,6 @@ class PretrainedExtractor:
 
     extractor_sizes: tuple[int, ...]
     weights: np.ndarray
-    source_seed: int
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.extractor_sizes)
@@ -367,10 +365,7 @@ def fine_tune(
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
         trainable, state = adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
-    trained = BaseModel(
-        topology=topology, weights=weights, init_mode=model.init_mode, trained=True
-    )
-    return trained, trace
+    return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
 
 
 def pretrain_extractor(
@@ -387,5 +382,4 @@ def pretrain_extractor(
     return PretrainedExtractor(
         extractor_sizes=topology.extractor_sizes,
         weights=trained.extractor_weights.copy(),
-        source_seed=seed,
     )

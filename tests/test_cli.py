@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 import re
 
 import pytest
 
+from pairbag import harness
 from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
 from pairbag.harness import (
@@ -142,6 +144,37 @@ class TestSweep:
     def test_rejects_zero_workers(self, tiny_config):
         with pytest.raises(SystemExit):
             main(["sweep", "--config", tiny_config, "--workers", "0"])
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
+    def test_one_trial_errors_before_any_training(
+        self, tmp_path, tiny_config, capsys, monkeypatch, subcommand
+    ):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for a one-trial spec")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", tiny_config, "--out", str(out), "--trials", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be >= 2, got 1: each cell's std needs two")
+        assert not out.exists()
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(
+        self, tmp_path, tiny_config, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.jsonl").write_text("old")
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["sweep", "--config", tiny_config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot rename")
+        assert (out / "results.jsonl").read_text() == "old"
+        assert sorted(p.name for p in out.iterdir()) == ["results.jsonl"]
 
 
 class TestReport:

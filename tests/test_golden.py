@@ -1,9 +1,10 @@
 """Golden-output check: a tiny fixed sweep, report and calibration run.
 
 The CLI runs in a child process with one BLAS thread (bit-exact reruns hold
-only at a fixed BLAS thread count), and every output file must hash to its
-recorded SHA-256 digest. A change that alters any float must re-record
-these digests and say why.
+only at a fixed BLAS thread count). Every output file must hash to its
+recorded SHA-256 digest, and the output directory must hold no other file
+(a leftover temp file fails). A change that alters any float must
+re-record these digests and say why.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ SRC = Path(pairbag.__file__).resolve().parent.parent
 GOLDEN = {
     "results.jsonl": "4f5928b86924f4fd0b2944d0542d3ee9259f443667cdded01d04c0bd816c83df",
     "summary.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
+    "report_cells.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
     "report_improvements.csv": "80165f65bb51f6d28c5a6b3092166d0a2eaf1f9329e6e45406cb5e965e4a7f0f",
     "calibration.jsonl": "e1e5edcdfb81557a79e85fa66831fd3e3e9afa7932b3654f57c97c17456f11c8",
     "calibration.csv": "faaf061ad2b4ef7e80f73d4abe5def0b78ca7237d22d4e4c0755631ac87df83f",
@@ -47,3 +49,4 @@ def test_tiny_sweep_report_calibrate_digests(tmp_path):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+    assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN)

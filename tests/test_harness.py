@@ -126,12 +126,18 @@ class TestExperimentSpec:
         source = SyntheticSpec(d=2, n_pos=5, n_neg=20, separation=1.0, noise_scale=1.0, seed=0)
         with pytest.raises(ValueError, match="trials"):
             ExperimentSpec(source=source, trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 2, got 1: each cell's std"):
+            ExperimentSpec(source=source, trials=1)
         with pytest.raises(ValueError, match="test_fraction"):
             ExperimentSpec(source=source, test_fraction=1.0)
         with pytest.raises(ValueError, match="arms"):
             ExperimentSpec(source=source, arms=("scratch", "finetune"))
         with pytest.raises(ValueError, match="duplicate"):
             ExperimentSpec(source=source, arms=("scratch", "scratch"))
+        with pytest.raises(ValueError, match=r"duplicate k_shots in \(5, 5\)"):
+            ExperimentSpec(source=source, k_shots=(5, 5))
+        with pytest.raises(ValueError, match=r"duplicate ensemble_sizes in \(1, 5, 1\)"):
+            ExperimentSpec(source=source, ensemble_sizes=(1, 5, 1))
         with pytest.raises(ValueError, match="k_shots"):
             ExperimentSpec(source=source, k_shots=())
         with pytest.raises(ValueError, match="ensemble_sizes"):

@@ -210,7 +210,6 @@ class TestInitScratch:
     def test_mode_flags(self):
         model = init_scratch(default_topology(4), 0)
         assert model.init_mode == "scratch"
-        assert not model.trained
 
 
 class TestInitTransfer:
@@ -218,7 +217,7 @@ class TestInitTransfer:
         t = SiameseTopology(extractor_sizes=sizes, head_hidden=6)
         base = init_scratch(t, seed)
         return t, PretrainedExtractor(
-            extractor_sizes=sizes, weights=base.extractor_weights.copy(), source_seed=seed
+            extractor_sizes=sizes, weights=base.extractor_weights.copy()
         )
 
     def test_copies_extractor_bitwise(self):
@@ -259,7 +258,6 @@ class TestFineTune:
         model = init_scratch(self.small_topology(), 3)
         trained, trace = fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=0))
         np.testing.assert_array_equal(trained.weights, model.weights)
-        assert trained.trained
         assert trace.shape == (0,)
 
     def test_deterministic(self):
@@ -297,7 +295,6 @@ class TestFineTune:
         pretrained = PretrainedExtractor(
             extractor_sizes=t.extractor_sizes,
             weights=base.extractor_weights.copy(),
-            source_seed=11,
         )
         model = init_transfer(t, pretrained, 12)
         trained, _ = fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=50))
@@ -310,7 +307,7 @@ class TestFineTune:
         ds = separable_dataset()
         t = self.small_topology()
         pretrained = PretrainedExtractor(
-            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy(), 11
+            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy()
         )
         model = init_transfer(t, pretrained, 12)
         cfg = TrainConfig(iterations=30, learning_rate=0.01)
@@ -357,7 +354,7 @@ class TestHeadLossAndGradient:
         for _ in range(10):
             t = random_topology(rng)
             pretrained = PretrainedExtractor(
-                t.extractor_sizes, init_scratch(t, 1).extractor_weights.copy(), 1
+                t.extractor_sizes, init_scratch(t, 1).extractor_weights.copy()
             )
             model = init_transfer(t, pretrained, int(rng.integers(1 << 30)))
             n = int(rng.integers(1, 12))
@@ -378,7 +375,6 @@ class TestPretraining:
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
         ext = pretrain_extractor(source, t, 0, 21)
         np.testing.assert_array_equal(ext.weights, init_scratch(t, 21).extractor_weights)
-        assert ext.source_seed == 21
 
     def test_training_reduces_source_loss(self):
         """The frozen extractor is that of a scratch model fine-tuned on every
@@ -397,4 +393,4 @@ class TestPretraining:
 
     def test_extractor_size_validation(self):
         with pytest.raises(ValueError, match="expected"):
-            PretrainedExtractor(extractor_sizes=(4, 8, 4), weights=np.zeros(3), source_seed=0)
+            PretrainedExtractor(extractor_sizes=(4, 8, 4), weights=np.zeros(3))
