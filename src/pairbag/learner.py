@@ -146,19 +146,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None):
+    """ReLU(x @ w.T + b), written into `out` (allocated when None)."""
+    z = np.matmul(x, w.T, out=out)
+    np.add(z, b, out=z)
+    return np.maximum(z, 0.0, out=z)
+
+
 def _extract(layers: list, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """The extractor's ReLU layers applied to rows x; appends each output to acts."""
-    for w, b in layers:
-        x = np.maximum(x @ w.T + b, 0.0)
-        if acts is not None:
-            acts.append(x)
+    """The extractor's ReLU layers applied to rows x; layer i writes into acts[i]."""
+    for i, (w, b) in enumerate(layers):
+        x = _relu_layer(x, w, b, None if acts is None else acts[i])
     return x
 
 
-def _head(layers: list, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of head inputs h and the head's hidden activation r1."""
+def _head(layers: list, h: np.ndarray, r1: np.ndarray | None = None):
+    """Scores of head inputs h and the head's hidden activation r1 (written
+    into `r1` when given)."""
     (w1, b1), (w2, b2) = layers
-    r1 = np.maximum(h @ w1.T + b1, 0.0)
+    r1 = _relu_layer(h, w1, b1, r1)
     return _sigmoid((r1 @ w2.T + b2)[:, 0]), r1
 
 
@@ -191,78 +197,150 @@ def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     return head_scores(model.head_weights, model.topology, head_input(model, pre, post))
 
 
-def _head_backward(layers: list, g_layers: list, h: np.ndarray, targets: np.ndarray):
-    """Mean loss of the head on inputs h; adds the head gradient into g_layers.
+def _describe(topology: SiameseTopology, n: int) -> str:
+    return f"(n={n}, extractor {topology.extractor_sizes}, head {topology.head_hidden})"
 
-    Also returns d(loss)/d(first head pre-activation) for the extractor pass.
+
+class Workspace:
+    """Every intermediate of loss_and_gradient and head_loss_and_gradient for
+    batches of n pairs under one topology, allocated once per training run.
+
+    A call given a workspace writes into these buffers and returns `grad`,
+    so the next call with the same workspace overwrites that gradient.
     """
-    scores, r1 = _head(layers, h)
+
+    def __init__(self, topology: SiameseTopology, n: int) -> None:
+        self.topology, self.n = topology, n
+        ext = topology.extractor_sizes[1:]
+        # acts[branch][i]: output of extractor layer i for pre (0) or post (1).
+        self.acts = [[np.empty((n, s)) for s in ext] for _ in range(2)]
+        # A buffer whose value is dead takes the next one of its shape: h
+        # then dh, the head's hidden activation r1 then dz1, and per layer
+        # d(loss)/d(acts[i]) then d(loss)/d(pre-activation).
+        self.h = np.empty((n, 2 * topology.feature_size))
+        self.r1 = np.empty((n, topology.head_hidden))
+        self.r1_mask = np.empty(self.r1.shape, dtype=bool)
+        # Per extractor layer, shared by the branches, which backpropagate in turn.
+        self.masks = [np.empty((n, s), dtype=bool) for s in ext]
+        self.dz = [np.empty((n, s)) for s in ext]
+        shapes = topology.layer_shapes()
+        self.grad = np.empty(topology.param_count)
+        self.g_layers = _unpack(self.grad, shapes)
+        # Per layer: one term of the weight and bias gradient (the head's or one
+        # branch's), added into the zero-filled grad so each is rounded alone.
+        self.terms = _unpack(np.empty(topology.param_count), shapes)
+
+    def check(self, topology: SiameseTopology, n: int) -> None:
+        """Raise ValueError unless this workspace was built for (topology, n)."""
+        if (topology, n) != (self.topology, self.n):
+            raise ValueError(
+                f"workspace built for {_describe(self.topology, self.n)} "
+                f"cannot hold a batch of {_describe(topology, n)}"
+            )
+
+
+def _accumulate(g_layer: tuple, term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
+    """Add dz.T @ x and the column sums of dz into a layer's gradient (gw, gb)."""
+    (gw, gb), (tw, tb) = g_layer, term
+    np.add(gw, np.matmul(dz.T, x, out=tw), out=gw)
+    np.add(gb, np.add.reduce(dz, axis=0, out=tb), out=gb)
+
+
+def _head_backward(work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray):
+    """Mean loss of the head on inputs h; adds the head gradient into work.grad.
+
+    Also returns d(loss)/d(first head pre-activation), dz1, in the r1 buffer.
+    """
+    scores, r1 = _head(layers, h, work.r1)
     mean_loss = loss(scores, targets)
     if not np.isfinite(mean_loss):
         raise TrainingError("non-finite loss in forward pass")
     # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs. A ReLU
     # output is > 0 exactly where its input is, so masks read activations.
     dlogit = ((scores - targets) / h.shape[0])[:, None]
-    (gw1, gb1), (gw2, gb2) = g_layers
-    gw2 += dlogit.T @ r1
-    gb2 += dlogit.sum(axis=0)
-    dr1 = dlogit @ layers[1][0]
-    dz1 = dr1 * (r1 > 0.0)
-    gw1 += dz1.T @ h
-    gb1 += dz1.sum(axis=0)
+    (g1, g2), (t1, t2) = work.g_layers[-2:], work.terms[-2:]
+    _accumulate(g2, t2, dlogit, r1)
+    mask = np.greater(r1, 0.0, out=work.r1_mask)
+    # Masks multiply: np.where or copyto would turn a -0.0 into +0.0.
+    dz1 = np.matmul(dlogit, layers[1][0], out=r1)
+    np.multiply(dz1, mask, out=dz1)
+    _accumulate(g1, t1, dz1, h)
     return mean_loss, dz1
 
 
+def _finite(grad: np.ndarray) -> np.ndarray:
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient")
+    return grad
+
+
 def head_loss_and_gradient(
-    head: np.ndarray, topology: SiameseTopology, h: np.ndarray, targets: np.ndarray
+    head: np.ndarray,
+    topology: SiameseTopology,
+    h: np.ndarray,
+    targets: np.ndarray,
+    work: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE of head inputs h and its gradient over `head`:
     the head slice of loss_and_gradient's for an extractor that maps the
     batch to h. Raises TrainingError on non-finite intermediates.
+
+    With `work` (built for this topology and h's row count) the gradient
+    returned is a view of work.grad, overwritten by the next call with it.
     """
-    shapes = topology.layer_shapes()[-2:]
-    grad = np.zeros_like(head)
-    mean_loss, _ = _head_backward(_unpack(head, shapes), _unpack(grad, shapes), h, targets)
-    if not np.isfinite(grad).all():
-        raise TrainingError("non-finite gradient")
-    return mean_loss, grad
+    if work is None:
+        work = Workspace(topology, h.shape[0])
+    work.check(topology, h.shape[0])
+    grad = work.grad[topology.extractor_param_count :]
+    grad.fill(0.0)
+    mean_loss, _ = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
+    return mean_loss, _finite(grad)
 
 
 def loss_and_gradient(
-    model: BaseModel, pre: np.ndarray, post: np.ndarray, targets: np.ndarray
+    model: BaseModel,
+    pre: np.ndarray,
+    post: np.ndarray,
+    targets: np.ndarray,
+    work: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE over the batch and its analytic gradient.
 
     Backpropagates through both siamese branches, summing each branch's
     contribution into the shared extractor gradients. Raises TrainingError
     on non-finite intermediates.
+
+    `work` holds every intermediate; without it a fresh Workspace is built.
+    The gradient returned is work.grad: the next call with the same
+    workspace overwrites it. A workspace built for another topology or row
+    count raises ValueError.
     """
     topology = model.topology
-    shapes = topology.layer_shapes()
-    layers = _unpack(model.weights, shapes)
+    if work is None:
+        work = Workspace(topology, pre.shape[0])
+    work.check(topology, pre.shape[0])
+    layers = _unpack(model.weights, topology.layer_shapes())
     n_ext = len(topology.extractor_sizes) - 1
-    # Per branch: the input and every extractor output, for backprop.
-    branches = [[pre], [post]]
-    h = np.concatenate([_extract(layers[:n_ext], acts[0], acts) for acts in branches], axis=1)
+    # The branches stay separate gemms; one stacked (2n, d) batch would
+    # reorder the sums of the extractor's weight gradients.
+    inputs = (pre, post)
+    feats = [_extract(layers[:n_ext], x, acts) for x, acts in zip(inputs, work.acts)]
+    h = np.concatenate(feats, axis=1, out=work.h)
 
-    grad = np.zeros_like(model.weights)
-    g_layers = _unpack(grad, shapes)
-    mean_loss, dz1 = _head_backward(layers[n_ext:], g_layers[n_ext:], h, targets)
-    dh = dz1 @ layers[n_ext][0]
+    work.grad.fill(0.0)
+    mean_loss, dz1 = _head_backward(work, layers[n_ext:], h, targets)
+    dh = np.matmul(dz1, layers[n_ext][0], out=h)
 
     f = topology.feature_size
-    for acts, dfeat in zip(branches, (dh[:, :f], dh[:, f:])):
+    for x, acts, dfeat in zip(inputs, work.acts, (dh[:, :f], dh[:, f:])):
         da = dfeat
         for li in range(n_ext - 1, -1, -1):
-            dz = da * (acts[li + 1] > 0.0)
-            gw, gb = g_layers[li]
-            gw += dz.T @ acts[li]
-            gb += dz.sum(axis=0)
+            mask = np.greater(acts[li], 0.0, out=work.masks[li])
+            dz = np.multiply(da, mask, out=work.dz[li])
+            _accumulate(work.g_layers[li], work.terms[li], dz, acts[li - 1] if li else x)
             if li > 0:
-                da = dz @ layers[li][0]
-    if not np.isfinite(grad).all():
-        raise TrainingError("non-finite gradient")
-    return mean_loss, grad
+                da = np.matmul(dz, layers[li][0], out=work.dz[li - 1])
+    return mean_loss, _finite(work.grad)
 
 
 INIT_GAIN = np.sqrt(6.0)
@@ -338,7 +416,8 @@ def fine_tune(
     """Train a model on dataset rows `indices` with full-batch Adam.
 
     In transfer mode the frozen extractor maps the rows to head inputs once
-    and Adam trains the head slice alone. Returns the trained model and the
+    and Adam trains the head slice alone. Every step writes its intermediates
+    into one Workspace built here. Returns the trained model and the
     training-loss trace (one entry per iteration, evaluated before each step;
     no monotonicity is promised). A TrainingError names the 1-based iteration.
     """
@@ -351,16 +430,17 @@ def fine_tune(
     topology = model.topology
     n_frozen = topology.extractor_param_count if model.init_mode == "transfer" else 0
     h = head_input(model, pre, post) if n_frozen else None
+    work = Workspace(topology, idx.size)
     trainable = model.weights[n_frozen:]
     state = AdamState.zeros(trainable.size)
     trace = np.empty(config.iterations)
     for step in range(config.iterations):
         try:
             if n_frozen:
-                trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets)
+                trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
             else:
                 step_model = BaseModel(topology, trainable)
-                trace[step], grad = loss_and_gradient(step_model, pre, post, targets)
+                trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
         except TrainingError as exc:
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
         trainable, state = adam_step(trainable, grad, state, config)

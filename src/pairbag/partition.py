@@ -26,7 +26,6 @@ class ChunkPlan:
     k: int
     chunks: np.ndarray
     dropped: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         chunks = np.ascontiguousarray(self.chunks, dtype=np.int64)
@@ -95,7 +94,7 @@ def make_chunk_plan(dataset: PairDataset, k: int, seed: int) -> ChunkPlan:
     c = n_neg // k
     chunks = shuffled[: c * k].reshape(c, k)
     dropped = shuffled[c * k :]
-    return ChunkPlan(k=k, chunks=chunks, dropped=dropped, seed=seed)
+    return ChunkPlan(k=k, chunks=chunks, dropped=dropped)
 
 
 def assign_chunks(plan: ChunkPlan, model_count: int, seed: int) -> ChunkAssignment:

@@ -1,5 +1,7 @@
 """Tests for the siamese pair classifier: forward, init, training, freezing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pairbag.learner import (
     PretrainedExtractor,
     SiameseTopology,
     TrainingError,
+    Workspace,
     default_topology,
     fine_tune,
     forward,
@@ -340,7 +343,7 @@ class TestFineTune:
         ds = separable_dataset()
         model = init_scratch(self.small_topology(), 3)
 
-        def broken(model_, pre, post, targets):
+        def broken(model_, pre, post, targets, **kwargs):
             raise TrainingError("non-finite loss in forward pass")
 
         monkeypatch.setattr(learner, "loss_and_gradient", broken)
@@ -367,6 +370,56 @@ class TestHeadLossAndGradient:
             )
             assert head_loss == full_loss
             assert np.array_equal(head, full[t.extractor_param_count :])
+
+
+class TestWorkspace:
+    def batch(self, rng, t, n):
+        pre = rng.standard_normal((n, t.input_dim))
+        post = rng.standard_normal((n, t.input_dim))
+        return pre, post, smooth_target(rng.integers(0, 2, n), 0.1)
+
+    def test_reused_workspace_leaks_no_state(self):
+        """A call on batch B through a workspace that last held batch A gives
+        the loss and gradient bytes of a fresh call on B, for both arms."""
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            t = random_topology(rng)
+            n = int(rng.integers(1, 40))
+            model_a = init_scratch(t, int(rng.integers(1 << 30)))
+            model_b = init_scratch(t, int(rng.integers(1 << 30)))
+            a, b = self.batch(rng, t, n), self.batch(rng, t, n)
+            work = Workspace(t, n)
+            loss_and_gradient(model_a, *a, work=work)
+            got_loss, got = loss_and_gradient(model_b, *b, work=work)
+            want_loss, want = loss_and_gradient(model_b, *b)
+            assert got_loss == want_loss and got.tobytes() == want.tobytes()
+            h_a, h_b = head_input(model_a, *a[:2]), head_input(model_b, *b[:2])
+            head_loss_and_gradient(model_a.head_weights, t, h_a, a[2], work=work)
+            got_loss, got = head_loss_and_gradient(model_b.head_weights, t, h_b, b[2], work=work)
+            want_loss, want = head_loss_and_gradient(model_b.head_weights, t, h_b, b[2])
+            assert got_loss == want_loss and got.tobytes() == want.tobytes()
+
+    def test_returned_gradient_is_the_workspace_buffer(self):
+        rng = np.random.default_rng(3)
+        t = random_topology(rng)
+        work = Workspace(t, 5)
+        _, grad = loss_and_gradient(init_scratch(t, 1), *self.batch(rng, t, 5), work=work)
+        assert grad is work.grad
+
+    def test_mismatched_workspace_names_both_shapes(self):
+        rng = np.random.default_rng(8)
+        t = SiameseTopology(extractor_sizes=(3, 5, 2), head_hidden=4)
+        other = SiameseTopology(extractor_sizes=(3, 6, 2), head_hidden=4)
+        model = init_scratch(t, 2)
+        pre, post, targets = self.batch(rng, t, 6)
+        h = head_input(model, pre, post)
+        for work in (Workspace(t, 7), Workspace(other, 6)):
+            built = f"n={work.n}, extractor {work.topology.extractor_sizes}"
+            both = re.escape(built) + r".*n=6, extractor \(3, 5, 2\)"
+            with pytest.raises(ValueError, match=both):
+                loss_and_gradient(model, pre, post, targets, work=work)
+            with pytest.raises(ValueError, match=both):
+                head_loss_and_gradient(model.head_weights, t, h, targets, work=work)
 
 
 class TestPretraining:

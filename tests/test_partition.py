@@ -86,11 +86,11 @@ class TestChunkPlanType:
 
     def test_rejects_overlapping_chunks(self):
         with pytest.raises(ValueError, match="disjoint"):
-            ChunkPlan(k=2, chunks=np.array([[1, 2], [2, 3]]), dropped=np.array([]), seed=0)
+            ChunkPlan(k=2, chunks=np.array([[1, 2], [2, 3]]), dropped=np.array([]))
 
     def test_rejects_dropped_overlapping_chunks(self):
         with pytest.raises(ValueError, match="disjoint"):
-            ChunkPlan(k=2, chunks=np.array([[1, 2]]), dropped=np.array([2]), seed=0)
+            ChunkPlan(k=2, chunks=np.array([[1, 2]]), dropped=np.array([2]))
 
 
 class TestAssignChunks:
