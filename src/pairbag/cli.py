@@ -15,15 +15,15 @@ import argparse
 import configparser
 import logging
 import sys
-from importlib import resources
 from pathlib import Path
 
-from pairbag.data import SyntheticSpec, generate_synthetic, save_manifest
+from pairbag.data import generate_synthetic, save_manifest
 from pairbag.harness import (
-    ARMS,
-    ExperimentSpec,
     ImprovementRow,
     SweepSummary,
+    _synthetic_spec,
+    build_spec,
+    load_config,
     load_reports_jsonl,
     load_summary_csv,
     rows_csv,
@@ -34,7 +34,6 @@ from pairbag.harness import (
     write_summary_csv,
 )
 from pairbag.learner import TrainingError
-from pairbag.optimize import TrainConfig
 
 log = logging.getLogger("pairbag")
 
@@ -44,101 +43,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
-
-
-def load_config(path: str | None) -> configparser.ConfigParser:
-    """The packaged default.ini, overlaid with the user's INI file when given.
-
-    default.ini is the schema: a section or key it does not list is an
-    error, except that [budgets] takes any <arm>_<k> key with arm in ARMS
-    and k a positive integer.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(resources.files("pairbag").joinpath("default.ini").read_text())
-    schema = {section: set(parser[section]) for section in parser.sections()}
-    if path is not None:
-        with open(path) as handle:
-            parser.read_file(handle)
-    if parser.defaults():
-        raise ValueError(f"unknown key(s) in [DEFAULT]: {', '.join(parser.defaults())}")
-    for section in parser.sections():
-        if section not in schema:
-            raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if section == "budgets":
-                arm, _, k = key.rpartition("_")
-                if arm not in ARMS or not k.isdecimal() or int(k) < 1:
-                    raise ValueError(
-                        f"bad key {key!r} in [budgets]: expected <arm>_<k> with arm "
-                        f"in {', '.join(ARMS)} and k a positive integer"
-                    )
-            elif key not in schema[section]:
-                raise ValueError(f"unknown key {key!r} in [{section}]")
-    return parser
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]:
-    rows = []
-    for key, value in cfg.items("budgets"):
-        arm, _, k = key.rpartition("_")
-        rows.append((arm, int(k), int(value)))
-    return tuple(sorted(rows))
-
-
-def _synthetic_spec(cfg: configparser.ConfigParser, seed: int) -> SyntheticSpec:
-    data = cfg["data"]
-    return SyntheticSpec(
-        d=data.getint("d"),
-        n_pos=data.getint("n_pos"),
-        n_neg=data.getint("n_neg"),
-        separation=data.getfloat("separation"),
-        noise_scale=data.getfloat("noise_scale"),
-        seed=seed,
-    )
-
-
-def build_spec(
-    cfg: configparser.ConfigParser,
-    seed: int | None = None,
-    trials: int | None = None,
-) -> ExperimentSpec:
-    """Translate an INI config (plus flag overrides) into an ExperimentSpec."""
-    exp = cfg["experiment"]
-    master_seed = seed if seed is not None else exp.getint("seed")
-    manifest = cfg.get("data", "manifest").strip()
-    source = manifest if manifest else _synthetic_spec(cfg, master_seed)
-    train = cfg["train"]
-    return ExperimentSpec(
-        source=source,
-        k_shots=_int_list(exp["k_shots"]),
-        ensemble_sizes=_int_list(exp["ensemble_sizes"]),
-        arms=_str_list(exp["arms"]),
-        trials=trials if trials is not None else exp.getint("trials"),
-        test_fraction=exp.getfloat("test_fraction"),
-        seed=master_seed,
-        train=TrainConfig(
-            iterations=0,
-            learning_rate=train.getfloat("learning_rate"),
-            alpha=train.getfloat("alpha"),
-            adam_beta1=train.getfloat("adam_beta1"),
-            adam_beta2=train.getfloat("adam_beta2"),
-            adam_eps=train.getfloat("adam_eps"),
-        ),
-        budgets=_budgets(cfg),
-        extractor_hidden=_int_list(cfg.get("model", "extractor_hidden")),
-        head_hidden=cfg.getint("model", "head_hidden"),
-        pretrain_budget=exp.getint("pretrain_budget"),
-        source_size=exp.getint("source_size"),
-        source_tasks=exp.getint("source_tasks"),
-    )
 
 
 # --- rendering ----------------------------------------------------------------

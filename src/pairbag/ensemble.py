@@ -14,11 +14,11 @@ import numpy as np
 
 from pairbag.data import KShotDraw, PairDataset
 from pairbag.learner import (
+    ARMS,
     BaseModel,
     PretrainedExtractor,
     SiameseTopology,
     TrainingError,
-    default_topology,
     fine_tune,
     forward,
     head_input,
@@ -68,8 +68,8 @@ def train_ensemble(
     plan: ChunkPlan,
     assignment: ChunkAssignment,
     config: TrainConfig,
+    topology: SiameseTopology,
     mode: str = "scratch",
-    topology: SiameseTopology | None = None,
     pretrained: PretrainedExtractor | None = None,
 ) -> Ensemble:
     """Train one base model per assigned chunk and bundle them.
@@ -79,16 +79,10 @@ def train_ensemble(
     so members differ only through their seed path and their chunk. A
     TrainingError names the member (1-based) that diverged.
     """
-    if mode not in ("scratch", "transfer"):
-        raise ValueError(f"mode must be 'scratch' or 'transfer', got {mode!r}")
+    if mode not in ARMS:
+        raise ValueError(f"mode must be one of {ARMS}, got {mode!r}")
     if mode == "transfer" and pretrained is None:
         raise ValueError("transfer mode requires a pretrained extractor")
-    if topology is None:
-        topology = (
-            SiameseTopology(pretrained.extractor_sizes)
-            if mode == "transfer"
-            else default_topology(dataset.dim)
-        )
     models = []
     for i in range(1, assignment.model_count + 1):
         model_seed = derive_seed(config.seed, i)

@@ -6,16 +6,20 @@ its own k-shot positives and negative chunk assignment from a seed derived
 from the master seed and the cell coordinates, so results are independent of
 execution order and worker count. Summaries report sample mean/std per cell
 plus error-rate improvement rows in the style of the headline comparisons.
+An experiment's spec is built from the packaged default.ini, overlaid with
+an optional INI file (load_config, build_spec).
 """
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from pairbag.calibrate import (
 from pairbag.data import PairDataset, SyntheticSpec, draw_k_shot, generate_synthetic, load_manifest
 from pairbag.ensemble import member_scores, train_ensemble
 from pairbag.learner import (
+    ARMS,
     PretrainedExtractor,
     SiameseTopology,
     TrainingError,
@@ -48,57 +53,37 @@ from pairbag.seeding import (
     derive_seed,
 )
 
-ARMS = ("scratch", "transfer")
-
-# Fixed full-batch iteration budgets per (arm, k). Fewer steps on the
-# transfer arm both suffice for the frozen-extractor head and keep its
-# confidences closer to observed accuracy.
-DEFAULT_BUDGETS = (
-    ("scratch", 5, 100),
-    ("scratch", 50, 130),
-    ("transfer", 5, 20),
-    ("transfer", 50, 50),
-)
-
 
 class LeakageError(AssertionError):
     """Raised when a base-model training set touches the held-out test set."""
-
-
-def default_benchmark(
-    trials: int = 50, seed: int = 2024, d: int = 16, n_neg: int = 2000
-) -> "ExperimentSpec":
-    """Desk-scale synthetic benchmark: d=16, 200 positives, 2000 negatives."""
-    source = SyntheticSpec(
-        d=d, n_pos=200, n_neg=n_neg, separation=8.0, noise_scale=1.0, seed=seed
-    )
-    return ExperimentSpec(source=source, trials=trials, seed=seed)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to rerun an experiment bit-for-bit.
 
-    source is a SyntheticSpec or a manifest path. train holds both arms'
-    hyperparameters; its iterations and seed are set per trial. extractor_hidden
-    are the extractor's hidden widths between the input and feature layers;
-    budgets are (arm, k, iterations) triples, looked up by nearest k per arm.
+    Its defaults live in default.ini; build_spec reads them. source is a
+    SyntheticSpec or a manifest path. train holds both arms' hyperparameters;
+    its iterations and seed are set per trial. extractor_hidden are the
+    extractor's hidden widths between the input and feature layers; budgets
+    are (arm, k, iterations) triples, looked up by nearest k per arm, and
+    every arm in arms needs one.
     """
 
     source: SyntheticSpec | str
-    k_shots: tuple[int, ...] = (5, 50)
-    ensemble_sizes: tuple[int, ...] = (1, 5, 10, 15, 20)
-    arms: tuple[str, ...] = ARMS
-    trials: int = 200
-    test_fraction: float = 0.3
-    seed: int = 0
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=0))
-    budgets: tuple[tuple[str, int, int], ...] = DEFAULT_BUDGETS
-    extractor_hidden: tuple[int, ...] = (128, 64)
-    head_hidden: int = 128
-    pretrain_budget: int = 300
-    source_size: int = 1000
-    source_tasks: int = 16
+    k_shots: tuple[int, ...]
+    ensemble_sizes: tuple[int, ...]
+    arms: tuple[str, ...]
+    trials: int
+    test_fraction: float
+    seed: int
+    train: TrainConfig
+    budgets: tuple[tuple[str, int, int], ...]
+    extractor_hidden: tuple[int, ...]
+    head_hidden: int
+    pretrain_budget: int
+    source_size: int
+    source_tasks: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_shots", tuple(int(k) for k in self.k_shots))
@@ -124,6 +109,15 @@ class ExperimentSpec:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}")
+        for arm, k, iterations in self.budgets:
+            if arm not in ARMS or k < 1 or iterations < 0:
+                raise ValueError(
+                    f"bad budget {arm}_{k} = {iterations}: need an arm in {ARMS}, "
+                    "k >= 1 and iterations >= 0"
+                )
+        for arm in self.arms:
+            if all(row[0] != arm for row in self.budgets):
+                raise ValueError(f"no iteration budgets for arm {arm!r}")
         if self.pretrain_budget < 0 or self.source_size < 1:
             raise ValueError("pretrain_budget must be >= 0 and source_size >= 1")
         if self.source_tasks < 1:
@@ -139,6 +133,115 @@ class ExperimentSpec:
         if not rows:
             raise ValueError(f"no iteration budgets for arm {arm!r}")
         return min(rows, key=lambda r: (abs(r[0] - k), r[0]))[1]
+
+
+# --- configuration -------------------------------------------------------------
+
+
+def load_config(path: str | None) -> configparser.ConfigParser:
+    """The packaged default.ini, overlaid with the user's INI file when given.
+
+    default.ini is the schema: a section or key it does not list is an
+    error, except that [budgets] takes any <arm>_<k> key with arm in ARMS
+    and k a positive integer.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(resources.files("pairbag").joinpath("default.ini").read_text())
+    schema = {section: set(parser[section]) for section in parser.sections()}
+    if path is not None:
+        with open(path) as handle:
+            parser.read_file(handle)
+    if parser.defaults():
+        raise ValueError(f"unknown key(s) in [DEFAULT]: {', '.join(parser.defaults())}")
+    for section in parser.sections():
+        if section not in schema:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if section == "budgets":
+                arm, _, k = key.rpartition("_")
+                if arm not in ARMS or not k.isdecimal() or int(k) < 1:
+                    raise ValueError(
+                        f"bad key {key!r} in [budgets]: expected <arm>_<k> with arm "
+                        f"in {', '.join(ARMS)} and k a positive integer"
+                    )
+            elif key not in schema[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+    return parser
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]:
+    rows = []
+    for key, value in cfg.items("budgets"):
+        arm, _, k = key.rpartition("_")
+        rows.append((arm, int(k), int(value)))
+    return tuple(sorted(rows))
+
+
+def _synthetic_spec(cfg: configparser.ConfigParser, seed: int) -> SyntheticSpec:
+    data = cfg["data"]
+    return SyntheticSpec(
+        d=data.getint("d"),
+        n_pos=data.getint("n_pos"),
+        n_neg=data.getint("n_neg"),
+        separation=data.getfloat("separation"),
+        noise_scale=data.getfloat("noise_scale"),
+        seed=seed,
+    )
+
+
+def build_spec(
+    cfg: configparser.ConfigParser,
+    seed: int | None = None,
+    trials: int | None = None,
+) -> ExperimentSpec:
+    """Translate an INI config (plus flag overrides) into an ExperimentSpec."""
+    exp = cfg["experiment"]
+    master_seed = seed if seed is not None else exp.getint("seed")
+    manifest = cfg.get("data", "manifest").strip()
+    source = manifest if manifest else _synthetic_spec(cfg, master_seed)
+    train = cfg["train"]
+    return ExperimentSpec(
+        source=source,
+        k_shots=_int_list(exp["k_shots"]),
+        ensemble_sizes=_int_list(exp["ensemble_sizes"]),
+        arms=_str_list(exp["arms"]),
+        trials=trials if trials is not None else exp.getint("trials"),
+        test_fraction=exp.getfloat("test_fraction"),
+        seed=master_seed,
+        train=TrainConfig(
+            iterations=0,
+            learning_rate=train.getfloat("learning_rate"),
+            alpha=train.getfloat("alpha"),
+            adam_beta1=train.getfloat("adam_beta1"),
+            adam_beta2=train.getfloat("adam_beta2"),
+            adam_eps=train.getfloat("adam_eps"),
+        ),
+        budgets=_budgets(cfg),
+        extractor_hidden=_int_list(cfg.get("model", "extractor_hidden")),
+        head_hidden=cfg.getint("model", "head_hidden"),
+        pretrain_budget=exp.getint("pretrain_budget"),
+        source_size=exp.getint("source_size"),
+        source_tasks=exp.getint("source_tasks"),
+    )
+
+
+def default_benchmark(
+    trials: int = 50, seed: int | None = None, n_neg: int | None = None
+) -> ExperimentSpec:
+    """default.ini's experiment with `trials` trials; seed and n_neg, when
+    given, replace the file's master seed and negative count."""
+    spec = build_spec(load_config(None), seed=seed, trials=trials)
+    if n_neg is not None:
+        spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, n_neg=n_neg))
+    return spec
 
 
 @dataclass(frozen=True)
@@ -374,17 +477,19 @@ class ExperimentContext:
     pretrained: PretrainedExtractor | None
 
 
-def _check_feasible(spec: ExperimentSpec, train: PairDataset) -> None:
+def _check_feasible(train: PairDataset, k_shots, ensemble_sizes) -> None:
+    """Raise ValueError unless every (k, |M|) cell fits in the train split:
+    k positives, and |M| disjoint chunks of k negatives."""
     n_neg = len(train.negatives)
     n_pos = len(train.positives)
-    for k in spec.k_shots:
+    for k in k_shots:
         if k > n_pos:
             raise ValueError(f"k={k} exceeds the {n_pos} train positives")
         capacity = n_neg // k
-        for m in spec.ensemble_sizes:
+        for m in ensemble_sizes:
             if m > capacity:
                 raise ValueError(
-                    f"infeasible spec: k={k}, |M|={m} needs {m} chunks but the "
+                    f"infeasible cell k={k}, |M|={m}: needs {m} chunks but the "
                     f"train split holds only {capacity}"
                 )
 
@@ -403,7 +508,7 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     train_idx, test_idx = split_indices(dataset, spec.test_fraction, split_seed)
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
-    _check_feasible(spec, train)
+    _check_feasible(train, spec.k_shots, spec.ensemble_sizes)
     pretrained = None
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
@@ -479,13 +584,7 @@ def run_trial(
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
-    capacity = len(context.train.negatives) // k
-    if m > capacity:
-        raise ValueError(
-            f"infeasible trial: m={m} base models need {m} chunks but only "
-            f"{capacity} chunks of size k={k} fit in {len(context.train.negatives)} "
-            "train negatives"
-        )
+    _check_feasible(context.train, (k,), (m,))
     draw = draw_k_shot(context.train, k, derive_seed(trial_seed, DRAW_STREAM))
     plan = make_chunk_plan(context.train, k, derive_seed(trial_seed, PLAN_STREAM))
     assignment = assign_chunks(plan, m, derive_seed(trial_seed, ASSIGN_STREAM))

@@ -1,15 +1,15 @@
 """Siamese pair classifiers: shared-extractor MLPs with a concatenation head.
 
 A base model applies one feature extractor to both the pre and post vectors,
-concatenates the two feature blocks, and maps them through a hidden layer
-(width 128 by default) to a single logit; the score is its sigmoid. Weights
-live in one flat float64 vector so training and freezing can treat the model
-as plain numerics.
+concatenates the two feature blocks, and maps them through a hidden layer to
+a single logit; the score is its sigmoid. Weights live in one flat float64
+vector so training and freezing can treat the model as plain numerics.
 
-Two initialization modes exist: `scratch` (every parameter trains) and
-`transfer` (the extractor is copied from a frozen pretrained one and only
-the head trains). "Pretrained" here means trained on an auxiliary synthetic
-source task and then frozen, standing in for large-corpus pretraining.
+Two initialization modes exist, the experiment's ARMS: `scratch` (every
+parameter trains) and `transfer` (the extractor is copied from a frozen
+pretrained one and only the head trains). "Pretrained" here means trained on
+an auxiliary synthetic source task and then frozen, standing in for
+large-corpus pretraining.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import numpy as np
 from pairbag.data import PairDataset
 from pairbag.optimize import AdamState, TrainConfig, adam_step, loss, smooth_target
 
+ARMS = ("scratch", "transfer")
+
 
 class TrainingError(RuntimeError):
     """Raised when a training run produces a non-finite loss or gradient."""
@@ -31,12 +33,12 @@ class SiameseTopology:
     """Layer widths of the shared extractor and the pair head.
 
     extractor_sizes runs input d -> hidden sizes -> feature size f; the head
-    maps the concatenated 2f features through `head_hidden` (128 by default)
-    to one logit. All activations are ReLU.
+    maps the concatenated 2f features through `head_hidden` to one logit.
+    All activations are ReLU.
     """
 
     extractor_sizes: tuple[int, ...]
-    head_hidden: int = 128
+    head_hidden: int
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.extractor_sizes)
@@ -70,11 +72,6 @@ class SiameseTopology:
         return sum(o * (i + 1) for o, i in ext)
 
 
-def default_topology(input_dim: int) -> SiameseTopology:
-    """Desk-scale default: extractor d -> 64 -> 32, head 64 -> 128 -> 1."""
-    return SiameseTopology(extractor_sizes=(input_dim, 64, 32), head_hidden=128)
-
-
 @dataclass(frozen=True, eq=False)
 class BaseModel:
     """One pair classifier: a topology plus a flat float64 weight vector."""
@@ -92,8 +89,8 @@ class BaseModel:
             )
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if self.init_mode not in ("scratch", "transfer"):
-            raise ValueError(f"init_mode must be 'scratch' or 'transfer', got {self.init_mode!r}")
+        if self.init_mode not in ARMS:
+            raise ValueError(f"init_mode must be one of {ARMS}, got {self.init_mode!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -10,10 +10,10 @@ from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
 from pairbag.harness import (
     SUMMARY_COLUMNS,
-    default_benchmark,
     error_rate_improvement,
     load_reports_jsonl,
 )
+from pairbag.optimize import TrainConfig
 
 TINY_INI = """
 [data]
@@ -158,6 +158,20 @@ class TestSweep:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: trials must be >= 2, got 1: each cell's std needs two")
+        assert not out.exists()
+
+    def test_negative_budget_errors_before_any_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for a spec with a negative budget")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        path = tmp_path / "negative.ini"
+        path.write_text(TINY_INI.replace("scratch_3 = 5", "scratch_3 = -1"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad budget scratch_3 = -1")
         assert not out.exists()
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(
@@ -382,5 +396,49 @@ class TestConfigErrors:
 
 
 def test_default_ini_is_the_default_benchmark():
-    """default.ini and the library defaults describe one experiment."""
-    assert build_spec(load_config(None)) == default_benchmark(trials=200)
+    """default.ini's [train] section and TrainConfig's defaults agree."""
+    assert build_spec(load_config(None)).train == TrainConfig(iterations=0)
+
+
+# One changed value per key of the sections build_spec reads.
+CHANGED_VALUES = {
+    "d": "8",
+    "n_pos": "100",
+    "n_neg": "1000",
+    "separation": "4.0",
+    "noise_scale": "0.5",
+    "manifest": "data/manifest.csv",
+    "extractor_hidden": "32, 16",
+    "head_hidden": "32",
+    "learning_rate": "0.01",
+    "alpha": "0.2",
+    "adam_beta1": "0.8",
+    "adam_beta2": "0.99",
+    "adam_eps": "1e-7",
+    "k_shots": "5",
+    "ensemble_sizes": "1, 5",
+    "arms": "scratch",
+    "trials": "10",
+    "test_fraction": "0.2",
+    "seed": "1",
+    "pretrain_budget": "100",
+    "source_size": "500",
+    "source_tasks": "8",
+}
+DEFAULTS = load_config(None)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (section, key)
+        for section in ("data", "model", "train", "experiment")
+        for key in DEFAULTS[section]
+    ],
+)
+def test_every_default_key_reaches_the_spec(tmp_path, section, key):
+    """An overlay that changes only this key changes the spec built from it."""
+    assert CHANGED_VALUES[key] != DEFAULTS[section][key]
+    path = tmp_path / "one_key.ini"
+    path.write_text(f"[{section}]\n{key} = {CHANGED_VALUES[key]}\n")
+    assert build_spec(load_config(str(path))) != build_spec(DEFAULTS)

@@ -111,7 +111,10 @@ class TestTrainEnsemble:
         plan = make_chunk_plan(ds, 3, 1)
         assignment = assign_chunks(plan, 2, 2)
         with pytest.raises(ValueError, match="mode must be"):
-            train_ensemble(ds, draw, plan, assignment, TrainConfig(iterations=1), mode="bagged")
+            train_ensemble(
+                ds, draw, plan, assignment, TrainConfig(iterations=1), small_topology(),
+                mode="bagged",
+            )
 
     def test_transfer_requires_pretrained(self):
         ds = dataset()
@@ -119,7 +122,10 @@ class TestTrainEnsemble:
         plan = make_chunk_plan(ds, 3, 1)
         assignment = assign_chunks(plan, 2, 2)
         with pytest.raises(ValueError, match="pretrained"):
-            train_ensemble(ds, draw, plan, assignment, TrainConfig(iterations=1), mode="transfer")
+            train_ensemble(
+                ds, draw, plan, assignment, TrainConfig(iterations=1), small_topology(),
+                mode="transfer",
+            )
 
 
 class TestPrediction:

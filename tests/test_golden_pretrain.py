@@ -2,7 +2,7 @@
 
 The golden sweep's tiny INI reaches only d=3 with 6/4 hidden units. This
 test pins the extractor weights of `harness._pretrain` on the default
-benchmark topology (d=16 -> 64 -> 32, head 128, 1,984 source pairs per
+benchmark topology (d=16 -> 128 -> 64, head 128, 1,984 source pairs per
 full-batch step) for five steps. It runs in a child process with one BLAS
 thread, as bit-exact reruns hold only at a fixed BLAS thread count. A change
 that alters any float must re-record this digest and say why.

@@ -12,10 +12,9 @@ from pairbag.calibrate import CalibrationReport
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.harness import (
     ARMS,
-    DEFAULT_BUDGETS,
     CellSummary,
-    ExperimentSpec,
     ImprovementRow,
+    LeakageError,
     TrialReport,
     build_context,
     default_benchmark,
@@ -31,14 +30,14 @@ from pairbag.harness import (
     write_reports_jsonl,
     SUMMARY_COLUMNS,
 )
-from pairbag.optimize import TrainConfig
 
 
 def tiny_spec(trials=3, arms=ARMS, sizes=(1, 2)):
     source = SyntheticSpec(
         d=3, n_pos=12, n_neg=60, separation=6.0, noise_scale=0.5, seed=5
     )
-    return ExperimentSpec(
+    return dataclasses.replace(
+        default_benchmark(),
         source=source,
         k_shots=(2,),
         ensemble_sizes=sizes,
@@ -87,7 +86,7 @@ class TestErrorRateImprovement:
 class TestExperimentSpec:
     def test_default_budget_table(self):
         spec = tiny_spec()
-        defaults = dict(((a, k), b) for a, k, b in DEFAULT_BUDGETS)
+        defaults = dict(((a, k), b) for a, k, b in default_benchmark().budgets)
         assert defaults[("scratch", 5)] == 100
         assert defaults[("scratch", 50)] == 130
         assert defaults[("transfer", 5)] == 20
@@ -102,19 +101,28 @@ class TestExperimentSpec:
         assert spec.iteration_budget("transfer", 40) == 50  # closer to 50
 
     def test_budget_tie_prefers_smaller_k(self):
-        spec = ExperimentSpec(
-            source=SyntheticSpec(d=2, n_pos=5, n_neg=20, separation=1.0, noise_scale=1.0, seed=0),
+        spec = dataclasses.replace(
+            default_benchmark(),
             budgets=(("scratch", 10, 7), ("scratch", 20, 9), ("transfer", 10, 3)),
         )
         assert spec.iteration_budget("scratch", 15) == 7
 
     def test_budget_missing_arm_errors(self):
-        spec = ExperimentSpec(
-            source=SyntheticSpec(d=2, n_pos=5, n_neg=20, separation=1.0, noise_scale=1.0, seed=0),
-            budgets=(("scratch", 5, 7),),
-        )
-        with pytest.raises(ValueError, match="transfer"):
-            spec.iteration_budget("transfer", 5)
+        with pytest.raises(ValueError, match="no iteration budgets for arm 'transfer'"):
+            dataclasses.replace(default_benchmark(), budgets=(("scratch", 5, 7),))
+
+    @pytest.mark.parametrize(
+        "row, name",
+        [
+            (("warm", 5, 10), "warm_5 = 10"),
+            (("scratch", 0, 10), "scratch_0 = 10"),
+            (("transfer", 5, -1), "transfer_5 = -1"),
+        ],
+    )
+    def test_bad_budget_row_errors(self, row, name):
+        budgets = default_benchmark().budgets + (row,)
+        with pytest.raises(ValueError, match=f"bad budget {name}: need an arm in"):
+            dataclasses.replace(default_benchmark(), budgets=budgets)
 
     def test_topology_includes_hidden_sizes(self):
         spec = tiny_spec()
@@ -123,27 +131,27 @@ class TestExperimentSpec:
         assert t.head_hidden == 6
 
     def test_validation_errors(self):
-        source = SyntheticSpec(d=2, n_pos=5, n_neg=20, separation=1.0, noise_scale=1.0, seed=0)
+        spec = default_benchmark()
         with pytest.raises(ValueError, match="trials"):
-            ExperimentSpec(source=source, trials=0)
+            dataclasses.replace(spec, trials=0)
         with pytest.raises(ValueError, match="trials must be >= 2, got 1: each cell's std"):
-            ExperimentSpec(source=source, trials=1)
+            dataclasses.replace(spec, trials=1)
         with pytest.raises(ValueError, match="test_fraction"):
-            ExperimentSpec(source=source, test_fraction=1.0)
+            dataclasses.replace(spec, test_fraction=1.0)
         with pytest.raises(ValueError, match="arms"):
-            ExperimentSpec(source=source, arms=("scratch", "finetune"))
+            dataclasses.replace(spec, arms=("scratch", "finetune"))
         with pytest.raises(ValueError, match="duplicate"):
-            ExperimentSpec(source=source, arms=("scratch", "scratch"))
+            dataclasses.replace(spec, arms=("scratch", "scratch"))
         with pytest.raises(ValueError, match=r"duplicate k_shots in \(5, 5\)"):
-            ExperimentSpec(source=source, k_shots=(5, 5))
+            dataclasses.replace(spec, k_shots=(5, 5))
         with pytest.raises(ValueError, match=r"duplicate ensemble_sizes in \(1, 5, 1\)"):
-            ExperimentSpec(source=source, ensemble_sizes=(1, 5, 1))
+            dataclasses.replace(spec, ensemble_sizes=(1, 5, 1))
         with pytest.raises(ValueError, match="k_shots"):
-            ExperimentSpec(source=source, k_shots=())
+            dataclasses.replace(spec, k_shots=())
         with pytest.raises(ValueError, match="ensemble_sizes"):
-            ExperimentSpec(source=source, ensemble_sizes=(0,))
+            dataclasses.replace(spec, ensemble_sizes=(0,))
         with pytest.raises(ValueError, match="source_tasks"):
-            ExperimentSpec(source=source, source_tasks=0)
+            dataclasses.replace(spec, source_tasks=0)
 
 
 class TestSplit:
@@ -258,8 +266,15 @@ class TestRunTrial:
         spec = tiny_spec()
         ctx = build_context(spec)
         # train split holds 42 negatives; k=2 gives 21 chunks at most
-        with pytest.raises(ValueError, match="infeasible trial"):
+        with pytest.raises(ValueError, match=r"infeasible cell k=2, \|M\|=22: .* only 21$"):
             run_trial(spec, "scratch", 2, 22, 0, context=ctx)
+
+    def test_leakage_guard_fires(self):
+        spec = tiny_spec()
+        ctx = build_context(spec)
+        leaky = dataclasses.replace(ctx, test_idx=ctx.train_idx)
+        with pytest.raises(LeakageError, match="leaked into the test set"):
+            run_trial(spec, "scratch", 2, 1, 0, context=leaky)
 
     def test_unknown_arm(self):
         spec = tiny_spec()
@@ -305,7 +320,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
         spec = tiny_spec(sizes=(30,))
-        with pytest.raises(ValueError, match="infeasible spec"):
+        with pytest.raises(ValueError, match=r"infeasible cell k=2, \|M\|=30: .* only 21$"):
             run_experiment(spec)
 
     def test_parallel_sweep_pretrains_once(self, tmp_path, monkeypatch):

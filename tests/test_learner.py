@@ -13,7 +13,6 @@ from pairbag.learner import (
     SiameseTopology,
     TrainingError,
     Workspace,
-    default_topology,
     fine_tune,
     forward,
     head_input,
@@ -79,18 +78,13 @@ class TestSiameseTopology:
         t = SiameseTopology(extractor_sizes=(4, 6), head_hidden=3)
         assert t.layer_shapes()[-2] == (3, 12)
 
-    def test_default_topology(self):
-        t = default_topology(10)
-        assert t.extractor_sizes == (10, 64, 32)
-        assert t.head_hidden == 128
-
     def test_rejects_too_short_extractor(self):
         with pytest.raises(ValueError, match="at least"):
-            SiameseTopology(extractor_sizes=(4,))
+            SiameseTopology(extractor_sizes=(4,), head_hidden=2)
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError, match=">= 1"):
-            SiameseTopology(extractor_sizes=(4, 0, 2))
+            SiameseTopology(extractor_sizes=(4, 0, 2), head_hidden=2)
 
 
 class TestBaseModel:
@@ -181,7 +175,7 @@ class TestForward:
 
 class TestInitScratch:
     def test_deterministic_and_seed_sensitive(self):
-        t = default_topology(6)
+        t = SiameseTopology(extractor_sizes=(6, 64, 32), head_hidden=128)
         a = init_scratch(t, 9)
         b = init_scratch(t, 9)
         c = init_scratch(t, 10)
@@ -211,7 +205,7 @@ class TestInitScratch:
                 assert abs(w_block.std() - target) / target < 0.2
 
     def test_mode_flags(self):
-        model = init_scratch(default_topology(4), 0)
+        model = init_scratch(SiameseTopology(extractor_sizes=(4, 64, 32), head_hidden=128), 0)
         assert model.init_mode == "scratch"
 
 
