@@ -1,12 +1,14 @@
 """Command-line front end: generate data, run sweeps, render reports.
 
 Subcommands: `generate` (synthetic dataset in manifest format), `sweep`
-(full experiment grid to JSON-lines + CSV), `report` (re-render results with
-error-rate improvements and the calibration table), and `calibrate`
-(|M|=1 calibration measurement only). Configuration is an INI file laid
-over the packaged default.ini, which also fixes the allowed sections and
-keys; flags override the seed and trial count. Each subcommand takes only
-the flags it reads. Every output is deterministic given config + seed.
+(full experiment grid to JSON-lines + CSV) and `report` (re-render results).
+Both `sweep` and `report` print the accuracy table, the calibration table of
+the smallest ensemble size and the error-rate improvements; a sweep with
+`ensemble_sizes = 1` is the calibration-only measurement. Configuration is
+an INI file laid over the packaged default.ini, which also fixes the allowed
+sections and keys; flags override the seed and trial count. Each subcommand
+takes only the flags it reads. Every output is deterministic given config +
+seed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def render_cell_table(summary: SweepSummary) -> str:
 
 
 def render_calibration_table(summary: SweepSummary) -> str:
-    """Calibration table over base models, rows = k, columns = arm metrics."""
+    """Base-model calibration of the smallest |M|, rows = k, columns = arm metrics."""
     header = ["k"]
     for arm in summary.arms:
         header += [f"{arm} RMS", f"{arm} MAD"]
@@ -86,13 +88,21 @@ def render_calibration_table(summary: SweepSummary) -> str:
     return _render_table(header, rows)
 
 
+def _print_summary(summary: SweepSummary) -> None:
+    """What sweep and report print: accuracy, calibration, improvements."""
+    print(render_cell_table(summary))
+    print()
+    print(render_calibration_table(summary))
+    print()
+    for row in summary.improvements:
+        print(row.describe())
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.getint("experiment", "seed")
-    dataset = generate_synthetic(_synthetic_spec(cfg, seed))
+    dataset = generate_synthetic(_synthetic_spec(load_config(args.config), args.seed))
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = save_manifest(dataset, args.out)
     print(
@@ -102,11 +112,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_and_write(
-    args: argparse.Namespace, cfg: configparser.ConfigParser, results_name: str
-) -> SweepSummary:
-    """Run the spec's grid and write its trial reports to args.out/results_name."""
-    spec = build_spec(cfg, seed=args.seed, trials=args.trials)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    spec = build_spec(load_config(args.config), seed=args.seed, trials=args.trials)
     log.info(
         "sweep: %d arms x %d k x %d sizes x %d trials",
         len(spec.arms), len(spec.k_shots), len(spec.ensemble_sizes), spec.trials,
@@ -114,17 +121,9 @@ def _run_and_write(
     reports = run_experiment(spec, workers=args.workers)
     summary = summarize(reports)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_reports_jsonl(reports, args.out / results_name)
-    return summary
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    summary = _run_and_write(args, load_config(args.config), "results.jsonl")
+    write_reports_jsonl(reports, args.out / "results.jsonl")
     write_summary_csv(summary, args.out / "summary.csv")
-    print(render_cell_table(summary))
-    print()
-    for row in summary.improvements:
-        print(row.describe())
+    _print_summary(summary)
     print(f"\nwrote {args.out / 'results.jsonl'} and {args.out / 'summary.csv'}")
     return 0
 
@@ -139,28 +138,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(summary, out_dir / "report_cells.csv")
     write_atomic(out_dir / "report_improvements.csv", rows_csv(ImprovementRow, summary.improvements))
-    print(render_cell_table(summary))
-    print()
-    print(render_calibration_table(summary))
-    print()
-    for row in summary.improvements:
-        print(row.describe())
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    cfg.set("experiment", "ensemble_sizes", "1")
-    summary = _run_and_write(args, cfg, "calibration.jsonl")
-    lines = ["arm,k,mean_rms,std_rms,mean_mad,std_mad"]
-    for c in summary.cells:
-        lines.append(
-            f"{c.arm},{c.k},{c.mean_rms_cal!r},{c.std_rms_cal!r},"
-            f"{c.mean_mad_cal!r},{c.std_mad_cal!r}"
-        )
-    write_atomic(args.out / "calibration.csv", "\n".join(lines) + "\n")
-    print(render_calibration_table(summary))
-    print(f"\nwrote {args.out / 'calibration.jsonl'} and {args.out / 'calibration.csv'}")
+    _print_summary(summary)
     return 0
 
 
@@ -185,19 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         return p
 
-    def runs_trials(p: argparse.ArgumentParser) -> None:
-        seeded(p)
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="parallel trial workers (default: 1)")
-        p.add_argument("--trials", type=_positive_int, help="override the trial count")
-
     seeded(command("generate", cmd_generate,
                    "write a synthetic dataset in manifest format", "dataset"))
-    runs_trials(command("sweep", cmd_sweep, "run the full experiment grid", "results"))
+    p_sweep = seeded(command("sweep", cmd_sweep, "run the full experiment grid", "results"))
+    p_sweep.add_argument("--workers", type=_positive_int, default=1,
+                         help="parallel trial workers (default: 1)")
+    p_sweep.add_argument("--trials", type=_positive_int, help="override the trial count")
     p_rep = command("report", cmd_report, "render results as tables and CSV", None)
     p_rep.add_argument("--results", required=True,
                        help="results.jsonl from sweep, or a summary CSV")
-    runs_trials(command("calibrate", cmd_calibrate, "measure |M|=1 calibration only", "results"))
     return parser
 
 

@@ -96,6 +96,8 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n_pos < 0:

@@ -93,6 +93,8 @@ class ExperimentSpec:
         object.__setattr__(
             self, "budgets", tuple((a, int(k), int(b)) for a, k, b in self.budgets)
         )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 2:
             raise ValueError(
                 f"trials must be >= 2, got {self.trials}: each cell's std needs two trials"
@@ -122,6 +124,11 @@ class ExperimentSpec:
             raise ValueError("pretrain_budget must be >= 0 and source_size >= 1")
         if self.source_tasks < 1:
             raise ValueError(f"source_tasks must be >= 1, got {self.source_tasks}")
+        if self.source_tasks > self.source_size:
+            raise ValueError(
+                f"source_tasks = {self.source_tasks} exceeds source_size = "
+                f"{self.source_size}: each source task needs at least one pair per class"
+            )
 
     def topology(self, input_dim: int) -> SiameseTopology:
         sizes = (input_dim,) + self.extractor_hidden
@@ -177,23 +184,37 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _read(section: configparser.SectionProxy, key: str, parse=str):
+    """section[key] through parse; a parse error names the section and key."""
+    try:
+        return parse(section[key])
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from None
+
+
+def _seed(cfg: configparser.ConfigParser, seed: int | None) -> int:
+    """The flag's seed when given, else the config's [experiment] seed."""
+    return seed if seed is not None else _read(cfg["experiment"], "seed", int)
+
+
 def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]:
+    budgets = cfg["budgets"]
     rows = []
-    for key, value in cfg.items("budgets"):
+    for key in budgets:
         arm, _, k = key.rpartition("_")
-        rows.append((arm, int(k), int(value)))
+        rows.append((arm, int(k), _read(budgets, key, int)))
     return tuple(sorted(rows))
 
 
-def _synthetic_spec(cfg: configparser.ConfigParser, seed: int) -> SyntheticSpec:
+def _synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
     data = cfg["data"]
     return SyntheticSpec(
-        d=data.getint("d"),
-        n_pos=data.getint("n_pos"),
-        n_neg=data.getint("n_neg"),
-        separation=data.getfloat("separation"),
-        noise_scale=data.getfloat("noise_scale"),
-        seed=seed,
+        d=_read(data, "d", int),
+        n_pos=_read(data, "n_pos", int),
+        n_neg=_read(data, "n_neg", int),
+        separation=_read(data, "separation", float),
+        noise_scale=_read(data, "noise_scale", float),
+        seed=_seed(cfg, seed),
     )
 
 
@@ -203,33 +224,31 @@ def build_spec(
     trials: int | None = None,
 ) -> ExperimentSpec:
     """Translate an INI config (plus flag overrides) into an ExperimentSpec."""
-    exp = cfg["experiment"]
-    master_seed = seed if seed is not None else exp.getint("seed")
-    manifest = cfg.get("data", "manifest").strip()
-    source = manifest if manifest else _synthetic_spec(cfg, master_seed)
-    train = cfg["train"]
+    exp, train, model = cfg["experiment"], cfg["train"], cfg["model"]
+    master_seed = _seed(cfg, seed)
+    manifest = _read(cfg["data"], "manifest").strip()
     return ExperimentSpec(
-        source=source,
-        k_shots=_int_list(exp["k_shots"]),
-        ensemble_sizes=_int_list(exp["ensemble_sizes"]),
-        arms=_str_list(exp["arms"]),
-        trials=trials if trials is not None else exp.getint("trials"),
-        test_fraction=exp.getfloat("test_fraction"),
+        source=manifest if manifest else _synthetic_spec(cfg, master_seed),
+        k_shots=_read(exp, "k_shots", _int_list),
+        ensemble_sizes=_read(exp, "ensemble_sizes", _int_list),
+        arms=_read(exp, "arms", _str_list),
+        trials=trials if trials is not None else _read(exp, "trials", int),
+        test_fraction=_read(exp, "test_fraction", float),
         seed=master_seed,
         train=TrainConfig(
             iterations=0,
-            learning_rate=train.getfloat("learning_rate"),
-            alpha=train.getfloat("alpha"),
-            adam_beta1=train.getfloat("adam_beta1"),
-            adam_beta2=train.getfloat("adam_beta2"),
-            adam_eps=train.getfloat("adam_eps"),
+            learning_rate=_read(train, "learning_rate", float),
+            alpha=_read(train, "alpha", float),
+            adam_beta1=_read(train, "adam_beta1", float),
+            adam_beta2=_read(train, "adam_beta2", float),
+            adam_eps=_read(train, "adam_eps", float),
         ),
         budgets=_budgets(cfg),
-        extractor_hidden=_int_list(cfg.get("model", "extractor_hidden")),
-        head_hidden=cfg.getint("model", "head_hidden"),
-        pretrain_budget=exp.getint("pretrain_budget"),
-        source_size=exp.getint("source_size"),
-        source_tasks=exp.getint("source_tasks"),
+        extractor_hidden=_read(model, "extractor_hidden", _int_list),
+        head_hidden=_read(model, "head_hidden", int),
+        pretrain_budget=_read(exp, "pretrain_budget", int),
+        source_size=_read(exp, "source_size", int),
+        source_tasks=_read(exp, "source_tasks", int),
     )
 
 
@@ -533,7 +552,7 @@ def _pretrain(spec: ExperimentSpec, input_dim: int) -> PretrainedExtractor:
         separation, noise = spec.source.separation, spec.source.noise_scale
     else:
         separation, noise = 8.0, 1.0
-    per_task = max(1, spec.source_size // spec.source_tasks)
+    per_task = spec.source_size // spec.source_tasks
     parts = [
         generate_synthetic(
             SyntheticSpec(

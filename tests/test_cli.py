@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import os
 import re
 
 import pytest
 
-from pairbag import harness
+from pairbag import cli, harness
 from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
 from pairbag.harness import (
@@ -116,7 +117,22 @@ class TestSweep:
         assert all(r.leakage_overlap == 0 for r in reports)
         text = capsys.readouterr().out
         assert "scratch |M|=1" in text and "transfer |M|=2" in text
+        assert "scratch RMS" in text and "transfer MAD" in text
         assert "error improved" in text
+
+    def test_single_member_lines_are_the_single_member_sweep(self, tmp_path, tiny_config):
+        """The |M|=1 lines of a sweep are byte for byte a sweep over |M|=1 alone,
+        so any sweep already holds the calibration-only measurement."""
+        full = tmp_path / "full"
+        assert main(["sweep", "--config", tiny_config, "--out", str(full)]) == 0
+        single_ini = tmp_path / "single.ini"
+        single_ini.write_text(TINY_INI.replace("ensemble_sizes = 1, 2", "ensemble_sizes = 1"))
+        single = tmp_path / "single"
+        assert main(["sweep", "--config", str(single_ini), "--out", str(single)]) == 0
+        lines = (full / "results.jsonl").read_bytes().splitlines(keepends=True)
+        ones = [line for line in lines if json.loads(line)["ensemble_size"] == 1]
+        assert len(ones) == 8  # 2 arms x 2 k x 2 trials
+        assert b"".join(ones) == (single / "results.jsonl").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_config):
         a = tmp_path / "a"
@@ -145,16 +161,15 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--config", tiny_config, "--workers", "0"])
 
-    @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
     def test_one_trial_errors_before_any_training(
-        self, tmp_path, tiny_config, capsys, monkeypatch, subcommand
+        self, tmp_path, tiny_config, capsys, monkeypatch
     ):
         def no_pretraining(*args):
             raise AssertionError("pretrained an extractor for a one-trial spec")
 
         monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
         out = tmp_path / "out"
-        argv = [subcommand, "--config", tiny_config, "--out", str(out), "--trials", "1"]
+        argv = ["sweep", "--config", tiny_config, "--out", str(out), "--trials", "1"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: trials must be >= 2, got 1: each cell's std needs two")
@@ -302,24 +317,11 @@ def test_subcommand_refuses_flags_it_does_not_read(args):
     assert exc.value.code == 2
 
 
-class TestCalibrate:
-    def test_smoke(self, tmp_path, tiny_config, capsys):
-        out = tmp_path / "cal"
-        assert main(["calibrate", "--config", tiny_config, "--out", str(out)]) == 0
-        reports = load_reports_jsonl(out / "calibration.jsonl")
-        assert all(r.ensemble_size == 1 for r in reports)
-        lines = (out / "calibration.csv").read_text().strip().splitlines()
-        assert lines[0] == "arm,k,mean_rms,std_rms,mean_mad,std_mad"
-        assert len(lines) == 1 + 4  # 2 arms x 2 k
-        assert "RMS" in capsys.readouterr().out
-
-    def test_csv_values_match_float_repr(self, tmp_path, tiny_config):
-        out = tmp_path / "cal"
-        main(["calibrate", "--config", tiny_config, "--out", str(out)])
-        for line in (out / "calibration.csv").read_text().strip().splitlines()[1:]:
-            parts = line.split(",")
-            for value in parts[2:]:
-                assert repr(float(value)) == value
+def test_calibrate_is_not_a_subcommand():
+    """The calibration-only run is a sweep with ensemble_sizes = 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--config", "x.ini"])
+    assert exc.value.code == 2
 
 
 class TestConfigErrors:
@@ -364,6 +366,67 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, prefix",
+        [
+            ("trials", "2.5", "[experiment] trials: "),
+            ("seed", "seven", "[experiment] seed: "),
+            ("k_shots", "2, three", "[experiment] k_shots: "),
+            ("test_fraction", "0.3.1", "[experiment] test_fraction: "),
+            ("head_hidden", "six", "[model] head_hidden: "),
+            ("extractor_hidden", "6, 4.5", "[model] extractor_hidden: "),
+            ("d", "", "[data] d: "),
+            ("separation", "far", "[data] separation: "),
+            ("scratch_3", "5.0", "[budgets] scratch_3: "),
+            ("learning_rate", "fast", "[train] learning_rate: "),
+        ],
+    )
+    def test_unparsable_value_names_its_key(
+        self, tmp_path, capsys, monkeypatch, key, value, prefix
+    ):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for an unparsable config")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        text = TINY_INI + "[train]\nlearning_rate = 0.001\n"
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+        path = tmp_path / "unparsable.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "generate"])
+    def test_negative_seed_errors_before_any_data(
+        self, tmp_path, tiny_config, capsys, monkeypatch, subcommand
+    ):
+        def no_data(*args):
+            raise AssertionError("built data for a negative seed")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        monkeypatch.setattr(cli, "generate_synthetic", no_data)
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", tiny_config, "--out", str(out), "--seed", "-5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -5")
+        assert not out.exists()
+
+    def test_more_source_tasks_than_source_pairs(self, tmp_path, capsys, monkeypatch):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor on fewer rows than configured")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        path = tmp_path / "tasks.ini"
+        path.write_text(TINY_INI.replace("source_tasks = 4", "source_tasks = 100"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: source_tasks = 100 exceeds source_size = 32")
+        assert not out.exists()
 
     def test_missing_section_header(self, tmp_path, capsys):
         path = tmp_path / "headless.ini"

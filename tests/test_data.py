@@ -72,6 +72,10 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="noise_scale"):
             SyntheticSpec(d=2, n_pos=1, n_neg=1, separation=1.0, noise_scale=0.0, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(d=2, n_pos=1, n_neg=1, separation=1.0, noise_scale=1.0, seed=-1)
+
 
 class TestGenerateSynthetic:
     def test_deterministic_for_equal_specs(self):

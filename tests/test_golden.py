@@ -1,10 +1,12 @@
-"""Golden-output check: a tiny fixed sweep, report and calibration run.
+"""Golden-output check: a tiny fixed sweep, its report, and a calibration run.
 
-The CLI runs in a child process with one BLAS thread (bit-exact reruns hold
-only at a fixed BLAS thread count). Every output file must hash to its
-recorded SHA-256 digest, and the output directory must hold no other file
-(a leftover temp file fails). A change that alters any float must
-re-record these digests and say why.
+The calibration run is the same sweep with `ensemble_sizes = 1`; its
+`results.jsonl` keeps the digest that the removed `calibrate` subcommand's
+`calibration.jsonl` had. The CLI runs in a child process with one BLAS
+thread (bit-exact reruns hold only at a fixed BLAS thread count). Every
+pinned file must hash to its recorded SHA-256 digest, and each output
+directory must hold no other file (a leftover temp file fails). A change
+that alters any float must re-record these digests and say why.
 """
 
 import hashlib
@@ -23,9 +25,13 @@ GOLDEN = {
     "summary.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
     "report_cells.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
     "report_improvements.csv": "80165f65bb51f6d28c5a6b3092166d0a2eaf1f9329e6e45406cb5e965e4a7f0f",
-    "calibration.jsonl": "e1e5edcdfb81557a79e85fa66831fd3e3e9afa7932b3654f57c97c17456f11c8",
-    "calibration.csv": "faaf061ad2b4ef7e80f73d4abe5def0b78ca7237d22d4e4c0755631ac87df83f",
 }
+# results.jsonl of the sweep with ensemble_sizes = 1
+CALIBRATION_RESULTS = "e1e5edcdfb81557a79e85fa66831fd3e3e9afa7932b3654f57c97c17456f11c8"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_cli(*args: str) -> None:
@@ -44,9 +50,12 @@ def test_tiny_sweep_report_calibrate_digests(tmp_path):
     out = tmp_path / "out"
     run_cli("sweep", "--config", str(config), "--out", str(out))
     run_cli("report", "--results", str(out / "results.jsonl"))
-    run_cli("calibrate", "--config", str(config), "--out", str(out))
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
+    digests = {name: sha256(out / name) for name in GOLDEN}
     assert digests == GOLDEN
     assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN)
+
+    config.write_text(TINY_INI.replace("ensemble_sizes = 1, 2", "ensemble_sizes = 1"))
+    calib = tmp_path / "calib"
+    run_cli("sweep", "--config", str(config), "--out", str(calib))
+    assert sha256(calib / "results.jsonl") == CALIBRATION_RESULTS
+    assert sorted(p.name for p in calib.iterdir()) == ["results.jsonl", "summary.csv"]

@@ -152,6 +152,10 @@ class TestExperimentSpec:
             dataclasses.replace(spec, ensemble_sizes=(0,))
         with pytest.raises(ValueError, match="source_tasks"):
             dataclasses.replace(spec, source_tasks=0)
+        with pytest.raises(ValueError, match="source_tasks = 1001 exceeds source_size = 1000"):
+            dataclasses.replace(spec, source_tasks=1001)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            dataclasses.replace(spec, seed=-5)
 
 
 class TestSplit:
