@@ -27,7 +27,6 @@ from pairbag.harness import (
     build_spec,
     load_config,
     load_reports_jsonl,
-    load_summary_csv,
     rows_csv,
     run_experiment,
     summarize,
@@ -130,10 +129,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results = Path(args.results)
-    if results.suffix == ".csv":
-        summary = load_summary_csv(results)
-    else:
-        summary = summarize(load_reports_jsonl(results))
+    summary = summarize(load_reports_jsonl(results))
     out_dir = args.out if args.out is not None else results.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(summary, out_dir / "report_cells.csv")
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=_positive_int, help="override the trial count")
     p_rep = command("report", cmd_report, "render results as tables and CSV", None)
     p_rep.add_argument("--results", required=True,
-                       help="results.jsonl from sweep, or a summary CSV")
+                       help="results.jsonl from sweep")
     return parser
 
 

@@ -9,6 +9,7 @@ inputs and a seed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -203,54 +204,66 @@ def _write_vector(path: Path, vec: np.ndarray) -> None:
 
 
 def load_manifest(path: str | Path) -> PairDataset:
-    """Load a dataset from a manifest CSV and its referenced vector files.
+    """Load a dataset from a UTF-8 manifest CSV and its referenced vector files.
 
     Errors name the offending 1-based data row, a non-finite vector value
-    included. An empty manifest is rejected: a dataset needs a negative.
+    included; a row whose pre and post vectors repeat an earlier row's is
+    an error naming both rows. An empty manifest is rejected: a dataset
+    needs a negative.
     """
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path} is not UTF-8 text: {exc}") from None
     base = path.parent
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"manifest {path} is empty (missing header)") from None
-        if [h.strip() for h in header] != _MANIFEST_HEADER:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ManifestError(f"manifest {path} is empty (missing header)") from None
+    if [h.strip() for h in header] != _MANIFEST_HEADER:
+        raise ManifestError(
+            f"manifest {path} has header {header!r}, expected {_MANIFEST_HEADER!r}"
+        )
+    pres, posts, labels = [], [], []
+    dim: int | None = None
+    first_row: dict[tuple[bytes, bytes], int] = {}
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != 3:
             raise ManifestError(
-                f"manifest {path} has header {header!r}, expected {_MANIFEST_HEADER!r}"
+                f"manifest row {row_no}: expected 3 fields, got {len(row)}"
             )
-        pres, posts, labels = [], [], []
-        dim: int | None = None
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise ManifestError(
-                    f"manifest row {row_no}: expected 3 fields, got {len(row)}"
-                )
-            pre_path, post_path, label_text = (f.strip() for f in row)
-            if label_text not in ("0", "1"):
-                raise ManifestError(
-                    f"manifest row {row_no}: label must be 0 or 1, got {label_text!r}"
-                )
-            pre = _read_vector(base / pre_path, row_no)
-            post = _read_vector(base / post_path, row_no)
-            if pre.shape[0] != post.shape[0]:
-                raise ManifestError(
-                    f"manifest row {row_no}: pre has {pre.shape[0]} features "
-                    f"but post has {post.shape[0]}"
-                )
-            if dim is None:
-                dim = pre.shape[0]
-            elif pre.shape[0] != dim:
-                raise ManifestError(
-                    f"manifest row {row_no}: dimension {pre.shape[0]} differs "
-                    f"from first row's {dim}"
-                )
-            pres.append(pre)
-            posts.append(post)
-            labels.append(int(label_text))
+        pre_path, post_path, label_text = (f.strip() for f in row)
+        if label_text not in ("0", "1"):
+            raise ManifestError(
+                f"manifest row {row_no}: label must be 0 or 1, got {label_text!r}"
+            )
+        pre = _read_vector(base / pre_path, row_no)
+        post = _read_vector(base / post_path, row_no)
+        if pre.shape[0] != post.shape[0]:
+            raise ManifestError(
+                f"manifest row {row_no}: pre has {pre.shape[0]} features "
+                f"but post has {post.shape[0]}"
+            )
+        if dim is None:
+            dim = pre.shape[0]
+        elif pre.shape[0] != dim:
+            raise ManifestError(
+                f"manifest row {row_no}: dimension {pre.shape[0]} differs "
+                f"from first row's {dim}"
+            )
+        earlier = first_row.setdefault((pre.tobytes(), post.tobytes()), row_no)
+        if earlier != row_no:
+            raise ManifestError(
+                f"manifest row {row_no}: pair repeats row {earlier}, so the "
+                "two copies could land on both sides of the train/test split"
+            )
+        pres.append(pre)
+        posts.append(post)
+        labels.append(int(label_text))
     if not pres:
         raise ManifestError(f"manifest {path} has no data rows")
     pre, post = np.array(pres), np.array(posts)

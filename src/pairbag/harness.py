@@ -107,6 +107,10 @@ class ExperimentSpec:
             raise ValueError(f"ensemble_sizes must be positive, got {self.ensemble_sizes}")
         if not self.arms or any(a not in ARMS for a in self.arms):
             raise ValueError(f"arms must be a nonempty subset of {ARMS}, got {self.arms}")
+        if not self.extractor_hidden or any(h < 1 for h in self.extractor_hidden):
+            raise ValueError(f"extractor_hidden must be positive, got {self.extractor_hidden}")
+        if self.head_hidden < 1:
+            raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
         for name in ("arms", "k_shots", "ensemble_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -188,7 +192,7 @@ def _read(section: configparser.SectionProxy, key: str, parse=str):
     """section[key] through parse; a parse error names the section and key."""
     try:
         return parse(section[key])
-    except ValueError as exc:
+    except (ValueError, configparser.InterpolationError) as exc:
         raise ValueError(f"[{section.name}] {key}: {exc}") from None
 
 
@@ -308,7 +312,7 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Sample statistics for one (arm, k, ensemble size) cell; each is checked."""
+    """Sample statistics for one (arm, k, ensemble size) cell."""
 
     arm: str
     k: int
@@ -319,16 +323,6 @@ class CellSummary:
     std_rms_cal: float
     mean_mad_cal: float
     std_mad_cal: float
-
-    def __post_init__(self) -> None:
-        for f in dataclasses.fields(self)[3:]:
-            value = getattr(self, f.name)
-            if not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-            if f.name.startswith("std_") and value < 0.0:
-                raise ValueError(f"{f.name} must be >= 0, got {value}")
-        if not 0.0 <= self.mean_acc <= 100.0:
-            raise ValueError(f"mean_acc must lie in [0, 100], got {self.mean_acc}")
 
     @property
     def mean_error(self) -> float:
@@ -371,9 +365,9 @@ class SweepSummary:
     """Per-cell statistics over a full (arm, k, |M|) grid, plus its improvements.
 
     The axes are the sorted arms (scratch before transfer), k values and
-    ensemble sizes of the cells. Every combination of them needs exactly one
-    cell, or construction raises ValueError naming the first one missing.
-    Cells keep the order they are given in.
+    ensemble sizes of the cells. Every combination of them needs a cell, or
+    construction raises ValueError naming the first one missing. Cells keep
+    the order they are given in.
     """
 
     cells: tuple[CellSummary, ...]
@@ -387,12 +381,7 @@ class SweepSummary:
         cells = tuple(self.cells)
         if not cells:
             raise ValueError("a sweep summary needs at least one cell")
-        by_key = {}
-        for c in cells:
-            key = (c.arm, c.k, c.ensemble_size)
-            if key in by_key:
-                raise ValueError(f"duplicate cell {_cell_name(*key)}")
-            by_key[key] = c
+        by_key = {(c.arm, c.k, c.ensemble_size): c for c in cells}
         axes = [tuple(sorted(set(axis))) for axis in zip(*by_key)]
         for key in itertools.product(*axes):
             if key not in by_key:
@@ -703,16 +692,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
 def summarize(reports: list[TrialReport]) -> SweepSummary:
     """Cell statistics over the (arm, k, |M|) grid the reports span.
 
-    A cell with fewer than 2 reports is an error, and so is a grid cell with
-    none (see SweepSummary).
+    A cell with fewer than 2 reports is an error, and so are a grid cell
+    with none (see SweepSummary) and two reports of one trial of a cell.
     """
     if not reports:
         raise ValueError("no trial reports to summarize")
-    grouped: dict[tuple[str, int, int], list[TrialReport]] = {}
+    grouped: dict[tuple[str, int, int], dict[int, TrialReport]] = {}
     for r in reports:
-        grouped.setdefault((r.arm, r.k, r.ensemble_size), []).append(r)
+        trials = grouped.setdefault((r.arm, r.k, r.ensemble_size), {})
+        if r.trial_index in trials:
+            raise ValueError(
+                f"duplicate trial {r.trial_index} in cell "
+                f"{_cell_name(r.arm, r.k, r.ensemble_size)}"
+            )
+        trials[r.trial_index] = r
     cells = []
-    for (arm, k, m), group in sorted(grouped.items()):
+    for (arm, k, m), trials in sorted(grouped.items()):
+        group = list(trials.values())
         if len(group) < 2:
             raise ValueError(
                 f"cell {_cell_name(arm, k, m)} has {len(group)} reports, need >= 2"
@@ -755,9 +751,6 @@ def rows_csv(cls, rows) -> str:
         values = (getattr(row, name) for name in names)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in values))
     return "\n".join(lines) + "\n"
-
-
-SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(CellSummary))
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -804,24 +797,3 @@ def summary_csv(summary: SweepSummary) -> str:
 
 def write_summary_csv(summary: SweepSummary, path: str | Path) -> None:
     write_atomic(path, summary_csv(summary))
-
-
-def load_summary_csv(path: str | Path) -> SweepSummary:
-    """Rebuild a SweepSummary from a cells CSV written by summary_csv."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != list(SUMMARY_COLUMNS):
-        raise ValueError(f"{path}: not a summary CSV (bad header)")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: summary CSV has no rows")
-    cells = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(SUMMARY_COLUMNS):
-            raise ValueError(f"{path} line {lineno}: expected {len(SUMMARY_COLUMNS)} fields")
-        arm, k, ensemble_size, *stats = parts
-        try:
-            cells.append(CellSummary(arm, int(k), int(ensemble_size), *map(float, stats)))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return SweepSummary(cells=tuple(cells))

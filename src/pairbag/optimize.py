@@ -36,8 +36,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.alpha < 1:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
-            raise ValueError("adam betas must lie in (0, 1)")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"adam betas must lie in (0, 1), got {name} = {value}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,11 +10,7 @@ import pytest
 from pairbag import cli, harness
 from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
-from pairbag.harness import (
-    SUMMARY_COLUMNS,
-    error_rate_improvement,
-    load_reports_jsonl,
-)
+from pairbag.harness import CellSummary, error_rate_improvement, load_reports_jsonl
 from pairbag.optimize import TrainConfig
 
 TINY_INI = """
@@ -110,7 +107,7 @@ class TestSweep:
         out = tmp_path / "results"
         assert main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
         lines = (out / "summary.csv").read_text().strip().splitlines()
-        assert lines[0] == ",".join(SUMMARY_COLUMNS)
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(CellSummary))
         assert len(lines) == 1 + 8  # 2 arms x 2 k x 2 sizes
         reports = load_reports_jsonl(out / "results.jsonl")
         assert len(reports) == 16  # 8 cells x 2 trials
@@ -206,6 +203,39 @@ class TestSweep:
         assert sorted(p.name for p in out.iterdir()) == ["results.jsonl"]
 
 
+class TestManifestErrors:
+    """A bad manifest fails the sweep with an error naming the file or its rows."""
+
+    def sweep_on(self, tmp_path, tiny_config, corrupt):
+        data = tmp_path / "data"
+        assert main(["generate", "--config", tiny_config, "--out", str(data)]) == 0
+        manifest = data / "manifest.csv"
+        manifest.write_bytes(corrupt(manifest.read_bytes()))
+        config = tmp_path / "manifest.ini"
+        config.write_text(TINY_INI.replace("[data]\n", f"[data]\nmanifest = {manifest}\n"))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+        return code, manifest
+
+    def test_non_utf8_manifest_names_file(self, tmp_path, tiny_config, capsys):
+        code, manifest = self.sweep_on(
+            tmp_path, tiny_config, lambda blob: blob.replace(b"pair000003", b"pair\xe900003")
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} is not UTF-8 text: ")
+        assert "Traceback" not in err
+
+    def test_repeated_pair_names_both_rows(self, tmp_path, tiny_config, capsys):
+        code, _ = self.sweep_on(
+            tmp_path, tiny_config, lambda blob: blob + blob.splitlines(keepends=True)[1]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest row 73: pair repeats row 1")
+
+
 class TestReport:
     def run_sweep(self, tmp_path, tiny_config):
         out = tmp_path / "results"
@@ -224,19 +254,6 @@ class TestReport:
         assert improvements[0] == "kind,arm,k,from_size,to_size,improvement"
         # 2 arms x 2 k ensemble rows plus 2 k x 2 sizes transfer rows
         assert len(improvements) == 1 + 4 + 4
-
-    def test_csv_input_is_idempotent(self, tmp_path, tiny_config):
-        """Re-rendering a report from its own cells CSV reproduces it."""
-        out = self.run_sweep(tmp_path, tiny_config)
-        assert main(["report", "--results", str(out / "results.jsonl")]) == 0
-        first_cells = (out / "report_cells.csv").read_bytes()
-        first_improvements = (out / "report_improvements.csv").read_bytes()
-        second = tmp_path / "second"
-        assert main(
-            ["report", "--results", str(out / "report_cells.csv"), "--out", str(second)]
-        ) == 0
-        assert (second / "report_cells.csv").read_bytes() == first_cells
-        assert (second / "report_improvements.csv").read_bytes() == first_improvements
 
     def test_improvements_recomputable_from_cells(self, tmp_path, tiny_config):
         """Improvement rows follow from the cell means alone."""
@@ -269,35 +286,42 @@ class TestReport:
         assert main(["report", "--results", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
-    def test_bad_csv_header(self, tmp_path, capsys):
-        path = tmp_path / "cells.csv"
-        path.write_text("wrong,header\n1,2\n")
-        assert main(["report", "--results", str(path)]) == 1
-        assert "bad header" in capsys.readouterr().err
-
-    def test_incomplete_grid_names_missing_cell(self, tmp_path, capsys):
-        path = tmp_path / "cells.csv"
-        rows = ["scratch,5,1", "scratch,5,5", "transfer,5,1"]
-        path.write_text(
-            ",".join(SUMMARY_COLUMNS) + "\n"
-            + "".join(f"{row},80.0,1.0,5.0,1.0,4.0,1.0\n" for row in rows)
-        )
-        assert main(["report", "--results", str(path)]) == 1
+    def test_summary_csv_is_not_an_input(self, tmp_path, tiny_config, capsys):
+        """report reads trial records only; a summary CSV is a malformed one."""
+        out = self.run_sweep(tmp_path, tiny_config)
+        capsys.readouterr()
+        summary = out / "summary.csv"
+        assert main(["report", "--results", str(summary)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "arm=transfer, k=5, ensemble_size=5" in err
+        assert err.startswith(f"error: {summary} line 1: malformed trial report: ")
+        assert "Traceback" not in err
 
-    def test_out_of_range_cell_statistics_are_errors(self, tmp_path, capsys):
-        path = tmp_path / "cells.csv"
-        path.write_text(
-            ",".join(SUMMARY_COLUMNS) + "\n"
-            "scratch,5,1,nan,1.0,5.0,1.0,4.0,1.0\n"
-            "scratch,5,5,150.0,-1.0,5.0,1.0,4.0,1.0\n"
-        )
-        assert main(["report", "--results", str(path)]) == 1
+    def test_incomplete_grid_names_missing_cell(self, tmp_path, tiny_config, capsys):
+        out = self.run_sweep(tmp_path, tiny_config)
+        capsys.readouterr()
+        results = out / "results.jsonl"
+
+        def cell(line):
+            record = json.loads(line)
+            return record["arm"], record["k"], record["ensemble_size"]
+
+        lines = results.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if cell(line) != ("transfer", 2, 2)]
+        assert len(kept) == len(lines) - 2
+        results.write_text("".join(kept))
+        assert main(["report", "--results", str(results)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "line 2" in err and "mean_acc" in err
+        assert err == "error: incomplete grid: no cell (arm=transfer, k=2, ensemble_size=2)\n"
+
+    def test_repeated_trial_records_are_an_error(self, tmp_path, tiny_config, capsys):
+        """A results.jsonl with every line twice counts no trial twice."""
+        out = self.run_sweep(tmp_path, tiny_config)
+        capsys.readouterr()
+        results = out / "results.jsonl"
+        results.write_text("".join(line * 2 for line in results.read_text().splitlines(True)))
+        assert main(["report", "--results", str(results)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate trial 0 in cell (arm=scratch, k=2, ensemble_size=1)\n"
 
 
 @pytest.mark.parametrize(

@@ -241,3 +241,14 @@ class TestManifest:
         manifest.write_text("\n".join(lines[:3]) + "\n")  # keep only the positives
         with pytest.raises(ManifestError, match="no negative"):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("label", ["1", "0"])
+    def test_repeated_pair_names_both_rows(self, tmp_path, label):
+        """A copy of row 1 is rejected whatever its label says."""
+        ds = small_dataset(n_pos=2, n_neg=2, d=2)
+        manifest = save_manifest(ds, tmp_path)
+        lines = manifest.read_text().splitlines()
+        lines.append(lines[1].rpartition(",")[0] + "," + label)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match="manifest row 5: pair repeats row 1"):
+            load_manifest(manifest)

@@ -28,7 +28,6 @@ from pairbag.harness import (
     summary_csv,
     trial_seed_for,
     write_reports_jsonl,
-    SUMMARY_COLUMNS,
 )
 
 
@@ -156,6 +155,12 @@ class TestExperimentSpec:
             dataclasses.replace(spec, source_tasks=1001)
         with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
             dataclasses.replace(spec, seed=-5)
+        with pytest.raises(ValueError, match=r"extractor_hidden must be positive, got \(\)"):
+            dataclasses.replace(spec, extractor_hidden=())
+        with pytest.raises(ValueError, match=r"extractor_hidden must be positive, got \(6, 0\)"):
+            dataclasses.replace(spec, extractor_hidden=(6, 0))
+        with pytest.raises(ValueError, match="head_hidden must be >= 1, got -5"):
+            dataclasses.replace(spec, head_hidden=-5)
 
 
 class TestSplit:
@@ -346,25 +351,6 @@ class TestRunExperiment:
             run_experiment(tiny_spec(), workers=0)
 
 
-@pytest.mark.parametrize(
-    "field_name, value, message",
-    [
-        ("mean_acc", float("nan"), "mean_acc must be finite"),
-        ("mean_acc", 150.0, r"mean_acc must lie in \[0, 100\]"),
-        ("mean_acc", -0.5, r"mean_acc must lie in \[0, 100\]"),
-        ("std_acc", -1.0, "std_acc must be >= 0"),
-        ("mean_rms_cal", float("inf"), "mean_rms_cal must be finite"),
-        ("std_mad_cal", -1e-9, "std_mad_cal must be >= 0"),
-    ],
-)
-def test_cell_summary_checks_its_statistics(field_name, value, message):
-    stats = dict(mean_acc=80.0, std_acc=1.0, mean_rms_cal=5.0, std_rms_cal=1.0,
-                 mean_mad_cal=4.0, std_mad_cal=1.0)
-    stats[field_name] = value
-    with pytest.raises(ValueError, match=message):
-        CellSummary("scratch", 5, 1, **stats)
-
-
 class TestSummarize:
     def test_known_cell_statistics(self):
         """Accuracies 90, 92, 94 give mean 92 and sample std exactly 2."""
@@ -429,6 +415,14 @@ class TestSummarize:
         with pytest.raises(ValueError, match=r"cell \(arm=scratch, k=2, ensemble_size=2\)"):
             summarize(reports)
 
+    def test_repeated_trial_is_an_error(self):
+        """Two reports of one trial of a cell are one trial counted twice."""
+        reports = [make_report(t, "scratch", 2, 1, acc) for t, acc in enumerate((80.0, 90.0))]
+        with pytest.raises(
+            ValueError, match=r"duplicate trial 1 in cell \(arm=scratch, k=2, ensemble_size=1\)"
+        ):
+            summarize(reports + reports[1:])
+
     def test_single_report_cell_is_an_error(self):
         with pytest.raises(ValueError, match="need >= 2"):
             summarize([make_report(0, "scratch", 2, 1, 80.0)])
@@ -467,7 +461,7 @@ class TestResultsFiles:
                 reports.append(make_report(t, "scratch", 2, m, 80.0 + t))
         text = summary_csv(summarize(reports))
         lines = text.strip().splitlines()
-        assert lines[0] == ",".join(SUMMARY_COLUMNS)
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(CellSummary))
         assert len(lines) == 1 + 2  # one row per (arm, k, size) cell
 
     def test_record_holds_every_field(self):

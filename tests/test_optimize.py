@@ -42,6 +42,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="adam_eps"):
             TrainConfig(iterations=1, adam_eps=0.0)
 
+    @pytest.mark.parametrize("name, value", [("adam_beta1", 0.0), ("adam_beta2", float("nan"))])
+    def test_bad_beta_error_names_field_and_value(self, name, value):
+        with pytest.raises(ValueError, match=rf"got {name} = {value}$"):
+            TrainConfig(iterations=1, **{name: value})
+
 
 class TestSmoothTarget:
     def test_known_values(self):
