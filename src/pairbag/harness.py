@@ -150,7 +150,7 @@ class ExperimentSpec:
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    """The packaged default.ini, overlaid with the user's INI file when given.
+    """The packaged default.ini, overlaid with the user's UTF-8 INI file if given.
 
     default.ini is the schema: a section or key it does not list is an
     error, except that [budgets] takes any <arm>_<k> key with arm in ARMS
@@ -160,8 +160,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     parser.read_string(resources.files("pairbag").joinpath("default.ini").read_text())
     schema = {section: set(parser[section]) for section in parser.sections()}
     if path is not None:
-        with open(path) as handle:
-            parser.read_file(handle)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config {path} is not UTF-8 text: {exc}") from None
+        parser.read_string(text, source=str(path))
     if parser.defaults():
         raise ValueError(f"unknown key(s) in [DEFAULT]: {', '.join(parser.defaults())}")
     for section in parser.sections():

@@ -135,12 +135,11 @@ def _unpack(weights: np.ndarray, shapes: list) -> list[tuple[np.ndarray, np.ndar
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
+    # gives the bytes of 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)).
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None):
@@ -413,10 +412,12 @@ def fine_tune(
     """Train a model on dataset rows `indices` with full-batch Adam.
 
     In transfer mode the frozen extractor maps the rows to head inputs once
-    and Adam trains the head slice alone. Every step writes its intermediates
-    into one Workspace built here. Returns the trained model and the
-    training-loss trace (one entry per iteration, evaluated before each step;
-    no monotonicity is promised). A TrainingError names the 1-based iteration.
+    and Adam trains the head slice alone. The trainable slice is copied once
+    into a buffer that Adam updates in place, and every step writes its
+    intermediates into one Workspace built here. Returns the trained model
+    and the training-loss trace (one entry per iteration, evaluated before
+    each step; no monotonicity is promised). A TrainingError names the
+    1-based iteration.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -428,19 +429,20 @@ def fine_tune(
     n_frozen = topology.extractor_param_count if model.init_mode == "transfer" else 0
     h = head_input(model, pre, post) if n_frozen else None
     work = Workspace(topology, idx.size)
-    trainable = model.weights[n_frozen:]
+    trainable = model.weights[n_frozen:].copy()
     state = AdamState.zeros(trainable.size)
+    # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
+    step_model = None if n_frozen else BaseModel(topology, trainable[:])
     trace = np.empty(config.iterations)
     for step in range(config.iterations):
         try:
             if n_frozen:
                 trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
             else:
-                step_model = BaseModel(topology, trainable)
                 trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
         except TrainingError as exc:
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
-        trainable, state = adam_step(trainable, grad, state, config)
+        adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
 

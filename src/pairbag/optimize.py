@@ -1,15 +1,15 @@
 """Training numerics: label smoothing, binary cross-entropy, Adam, gradients.
 
-Everything here is a pure function over explicit state. The gradient of the
-smoothed loss is computed analytically by backpropagation through the
-siamese forward pass and is verified against central finite differences in
-the test suite.
+Everything here is a function over explicit state; adam_step updates its
+arguments in place. The gradient of the smoothed loss is computed
+analytically by backpropagation through the siamese forward pass and is
+verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates plus the step counter, and two scratch
+    vectors of m's shape that adam_step computes its update in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -77,7 +82,8 @@ def loss(score, target):
     s = np.clip(np.asarray(score, dtype=np.float64), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     t = np.asarray(target, dtype=np.float64)
     values = -(t * np.log(s) + (1.0 - t) * np.log1p(-s))
-    return float(np.mean(values))
+    # np.mean's own reduction and divide, without its Python wrapper.
+    return float(np.add.reduce(values, axis=None) / values.size)
 
 
 def gradient(model, batch, config: TrainConfig) -> np.ndarray:
@@ -101,17 +107,24 @@ def gradient(model, batch, config: TrainConfig) -> np.ndarray:
 
 def adam_step(
     weights: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new weights and state."""
+) -> None:
+    """One bias-corrected Adam update of `weights`, `state.m`, `state.v` and
+    `state.t`, in place. The ufuncs keep the operation order of the
+    allocating formula, so they give its bytes and allocate nothing."""
     if weights.shape != grad.shape or weights.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: weights {weights.shape}, grad {grad.shape}, "
             f"state {state.m.shape}"
         )
-    t = state.t + 1
-    m = config.adam_beta1 * state.m + (1.0 - config.adam_beta1) * grad
-    v = config.adam_beta2 * state.v + (1.0 - config.adam_beta2) * (grad * grad)
-    m_hat = m / (1.0 - config.adam_beta1**t)
-    v_hat = v / (1.0 - config.adam_beta2**t)
-    new_weights = weights - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return new_weights, AdamState(m=m, v=v, t=t)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m, v, (a, b) = state.m, state.v, state.scratch
+    state.t += 1
+    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+    np.add(np.multiply(m, b1, out=m), np.multiply(grad, 1.0 - b1, out=a), out=m)
+    np.multiply(np.multiply(grad, grad, out=a), 1.0 - b2, out=a)
+    np.add(np.multiply(v, b2, out=v), a, out=v)
+    # w -= (lr * m_hat) / (sqrt(v_hat) + eps), m_hat = m / (1 - b1**t), v_hat likewise
+    np.multiply(np.divide(m, 1.0 - b1**state.t, out=a), config.learning_rate, out=a)
+    np.sqrt(np.divide(v, 1.0 - b2**state.t, out=b), out=b)
+    np.add(b, config.adam_eps, out=b)
+    np.subtract(weights, np.divide(a, b, out=a), out=weights)

@@ -459,6 +459,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(TINY_INI.encode() + b"# caf\xe9\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not UTF-8 text: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training(self, tmp_path, capsys):
         """The message names where the run diverged, also from a worker process.

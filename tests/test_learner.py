@@ -311,11 +311,13 @@ class TestFineTune:
         targets = smooth_target(ds.labels, cfg.alpha)
         weights, state, trace = model.weights.copy(), AdamState.zeros(t.param_count), []
         for _ in range(cfg.iterations):
+            # BaseModel makes its weights read-only, so it gets a copy and
+            # adam_step updates the writable `weights` in place.
             step_loss, grad = loss_and_gradient(
-                BaseModel(t, weights, "transfer"), ds.pre, ds.post, targets
+                BaseModel(t, weights.copy(), "transfer"), ds.pre, ds.post, targets
             )
             grad[: t.extractor_param_count] = 0.0
-            weights, state = adam_step(weights, grad, state, cfg)
+            adam_step(weights, grad, state, cfg)
             trace.append(step_loss)
         trained, got_trace = fine_tune(model, np.arange(len(ds)), ds, cfg)
         assert np.array_equal(trained.weights, weights)
@@ -326,6 +328,33 @@ class TestFineTune:
         model = init_scratch(self.small_topology(), 11)
         trained, _ = fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=50))
         assert not np.array_equal(trained.extractor_weights, model.extractor_weights)
+
+    def transfer_model(self):
+        t = self.small_topology()
+        pretrained = PretrainedExtractor(
+            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy()
+        )
+        return init_transfer(t, pretrained, 12)
+
+    def test_input_model_is_unchanged(self):
+        ds = separable_dataset()
+        for model in (init_scratch(self.small_topology(), 3), self.transfer_model()):
+            before = model.weights.copy()
+            fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=20))
+            assert model.weights.tobytes() == before.tobytes()
+
+    def test_returned_weights_are_fresh_and_read_only(self):
+        """Adam trains a buffer in place; no returned model may alias it, the
+        input model or the model of another run."""
+        ds = separable_dataset()
+        for model in (init_scratch(self.small_topology(), 3), self.transfer_model()):
+            cfg = TrainConfig(iterations=5)
+            a, _ = fine_tune(model, np.arange(len(ds)), ds, cfg)
+            b, _ = fine_tune(model, np.arange(len(ds)), ds, cfg)
+            assert not a.weights.flags.writeable and not b.weights.flags.writeable
+            assert not np.shares_memory(a.weights, b.weights)
+            assert not np.shares_memory(a.weights, model.weights)
+            assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_rejects_empty_index_set(self):
         ds = separable_dataset()
@@ -343,6 +372,25 @@ class TestFineTune:
         monkeypatch.setattr(learner, "loss_and_gradient", broken)
         with pytest.raises(TrainingError, match="iteration 1"):
             fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=5))
+
+
+class TestSigmoid:
+    @staticmethod
+    def masked(z):
+        """The two-branch sigmoid, evaluated on each branch's rows alone."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_matches_masked_reference_bytewise(self):
+        rng = np.random.default_rng(41)
+        edges = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            z = np.concatenate([rng.standard_normal(5000) * scale, edges])
+            assert learner._sigmoid(z).tobytes() == self.masked(z).tobytes()
 
 
 class TestHeadLossAndGradient:

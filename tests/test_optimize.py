@@ -6,6 +6,7 @@ import pytest
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.learner import SiameseTopology, forward, init_scratch, BaseModel
 from pairbag.optimize import (
+    SCORE_CLAMP,
     AdamState,
     TrainConfig,
     adam_step,
@@ -100,6 +101,16 @@ class TestLoss:
     def test_saturated_scores_stay_finite(self):
         assert np.isfinite(loss(0.0, 1.0))
         assert np.isfinite(loss(1.0, 0.0))
+
+    def test_bytes_equal_np_mean_of_the_same_values(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 7, 100, 129, 6060):
+            scores = rng.uniform(0, 1, n)
+            scores[rng.integers(0, n, 1 + n // 10)] = rng.choice([0.0, 1.0])
+            targets = smooth_target(rng.integers(0, 2, n), 0.1)
+            s = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+            values = -(targets * np.log(s) + (1.0 - targets) * np.log1p(-s))
+            assert np.float64(loss(scores, targets)).tobytes() == np.mean(values).tobytes()
 
     def test_mean_over_batch(self):
         scores = np.array([0.2, 0.7, 0.9])
@@ -196,20 +207,33 @@ class TestGradient:
             )
 
 
+def adam_oracle(weights, grad, m, v, t, config):
+    """The allocating Adam formula adam_step replaced: new (weights, m, v, t)."""
+    t = t + 1
+    m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
+    v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * (grad * grad)
+    m_hat = m / (1.0 - config.adam_beta1**t)
+    v_hat = v / (1.0 - config.adam_beta2**t)
+    new_weights = weights - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return new_weights, m, v, t
+
+
 class TestAdamStep:
     def test_zero_gradient_is_identity(self):
         w = np.array([1.0, -2.0, 3.0])
-        new_w, state = adam_step(w, np.zeros(3), AdamState.zeros(3), TrainConfig(iterations=1))
-        np.testing.assert_array_equal(new_w, w)
+        before = w.copy()
+        state = AdamState.zeros(3)
+        adam_step(w, np.zeros(3), state, TrainConfig(iterations=1))
+        np.testing.assert_array_equal(w, before)
         assert state.t == 1
 
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal(10)
-        g = rng.standard_normal(10)
+        before = w.copy()
         cfg = TrainConfig(iterations=1, learning_rate=0.0)
-        new_w, _ = adam_step(w, g, AdamState.zeros(10), cfg)
-        np.testing.assert_array_equal(new_w, w)
+        adam_step(w, rng.standard_normal(10), AdamState.zeros(10), cfg)
+        np.testing.assert_array_equal(w, before)
 
     def test_first_step_is_signed_learning_rate(self):
         """From a fresh state, the first update is -lr * sign(g) up to eps."""
@@ -217,21 +241,61 @@ class TestAdamStep:
         cfg = TrainConfig(iterations=1)
         for _ in range(10):
             w = rng.standard_normal(20)
+            before = w.copy()
             g = rng.choice([-1.0, 1.0], 20) * rng.uniform(0.01, 1.0, 20)
-            new_w, _ = adam_step(w, g, AdamState.zeros(20), cfg)
-            delta = new_w - w
+            adam_step(w, g, AdamState.zeros(20), cfg)
             np.testing.assert_allclose(
-                delta, -cfg.learning_rate * np.sign(g), atol=cfg.learning_rate * 1e-6
+                w - before, -cfg.learning_rate * np.sign(g), atol=cfg.learning_rate * 1e-6
             )
 
     def test_state_accumulates_moments(self):
         cfg = TrainConfig(iterations=1)
         g = np.array([0.5, -0.5])
-        _, state = adam_step(np.zeros(2), g, AdamState.zeros(2), cfg)
+        state = AdamState.zeros(2)
+        adam_step(np.zeros(2), g, state, cfg)
         np.testing.assert_allclose(state.m, (1 - cfg.adam_beta1) * g, rtol=1e-15)
         np.testing.assert_allclose(state.v, (1 - cfg.adam_beta2) * g * g, rtol=1e-15)
         assert state.t == 1
         assert (state.v >= 0).all()
+
+    def test_updates_its_arguments_in_place(self):
+        rng = np.random.default_rng(4)
+        w, g = rng.standard_normal(6), rng.standard_normal(6)
+        state = AdamState(m=rng.standard_normal(6), v=rng.uniform(0, 1, 6), t=3)
+        arrays = (w, state.m, state.v)
+        before = [a.copy() for a in arrays]
+        assert adam_step(w, g, state, TrainConfig(iterations=1)) is None
+        assert (w, state.m, state.v) == arrays and state.t == 4
+        assert all(not np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert all(x.shape == (6,) for x in state.scratch)
+
+    def test_matches_allocating_formula_bytewise(self):
+        """25 chained steps give the oracle's weight, moment and counter bytes,
+        at the head's and the full default-topology size and at random sizes,
+        betas and learning rates, zero included."""
+        rng = np.random.default_rng(23)
+        sizes = [16_641, 27_073] + [int(n) for n in rng.integers(1, 3000, 4)]
+        rates = [0.0, 1e-3, 1e-2] + [float(r) for r in 10.0 ** rng.uniform(-5, 0, 3)]
+        for n, lr in zip(sizes, rates):
+            cfg = TrainConfig(
+                iterations=1,
+                learning_rate=lr,
+                adam_beta1=float(rng.uniform(0.01, 0.99)),
+                adam_beta2=float(rng.uniform(0.01, 0.9999)),
+            )
+            w = rng.standard_normal(n)
+            state = AdamState.zeros(n)
+            want_w, want_m, want_v, want_t = w.copy(), state.m.copy(), state.v.copy(), 0
+            for _ in range(25):
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2)
+                adam_step(w, g, state, cfg)
+                want_w, want_m, want_v, want_t = adam_oracle(
+                    want_w, g, want_m, want_v, want_t, cfg
+                )
+            assert w.tobytes() == want_w.tobytes()
+            assert state.m.tobytes() == want_m.tobytes()
+            assert state.v.tobytes() == want_v.tobytes()
+            assert state.t == want_t == 25
 
     def test_permutation_equivariance(self):
         """Permuting weights, grads, and state permutes the update the same way."""
@@ -239,12 +303,12 @@ class TestAdamStep:
         cfg = TrainConfig(iterations=1)
         w = rng.standard_normal(15)
         g = rng.standard_normal(15)
-        state = AdamState(m=rng.standard_normal(15), v=rng.uniform(0, 1, 15), t=3)
+        m, v = rng.standard_normal(15), rng.uniform(0, 1, 15)
         perm = rng.permutation(15)
-        plain, plain_state = adam_step(w, g, state, cfg)
-        permuted, perm_state = adam_step(
-            w[perm], g[perm], AdamState(m=state.m[perm], v=state.v[perm], t=3), cfg
-        )
+        plain, plain_state = w.copy(), AdamState(m=m.copy(), v=v.copy(), t=3)
+        permuted, perm_state = w[perm], AdamState(m=m[perm], v=v[perm], t=3)
+        adam_step(plain, g, plain_state, cfg)
+        adam_step(permuted, g[perm], perm_state, cfg)
         np.testing.assert_allclose(permuted, plain[perm], rtol=1e-15)
         np.testing.assert_allclose(perm_state.m, plain_state.m[perm], rtol=1e-15)
 
@@ -257,6 +321,7 @@ class TestAdamStep:
         w = rng.standard_normal(8)
         g = rng.standard_normal(8)
         cfg = TrainConfig(iterations=1)
-        a, _ = adam_step(w, g, AdamState.zeros(8), cfg)
-        b, _ = adam_step(w, g, AdamState.zeros(8), cfg)
+        a, b = w.copy(), w.copy()
+        adam_step(a, g, AdamState.zeros(8), cfg)
+        adam_step(b, g, AdamState.zeros(8), cfg)
         np.testing.assert_array_equal(a, b)
