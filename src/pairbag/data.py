@@ -129,13 +129,6 @@ class KShotDraw:
         object.__setattr__(self, "indices", idx)
 
 
-def change_direction(spec: SyntheticSpec) -> np.ndarray:
-    """The unit vector along which positive pairs shift, fixed by the seed."""
-    rng = np.random.default_rng(spec.seed)
-    u = rng.standard_normal(spec.d)
-    return u / np.linalg.norm(u)
-
-
 def generate_synthetic(spec: SyntheticSpec) -> PairDataset:
     """Generate an imbalanced synthetic pair dataset.
 
@@ -203,6 +196,14 @@ def _write_vector(path: Path, vec: np.ndarray) -> None:
     path.write_bytes(struct.pack("<I", data.shape[0]) + data.tobytes())
 
 
+def read_utf8(path: str | Path, what: str, error: type[ValueError] = ValueError) -> str:
+    """The file's text; bytes that are not UTF-8 raise `error` naming what and path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> PairDataset:
     """Load a dataset from a UTF-8 manifest CSV and its referenced vector files.
 
@@ -214,10 +215,7 @@ def load_manifest(path: str | Path) -> PairDataset:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not UTF-8 text: {exc}") from None
+    text = read_utf8(path, "manifest", ManifestError)
     base = path.parent
     reader = csv.reader(io.StringIO(text, newline=""))
     try:

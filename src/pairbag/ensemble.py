@@ -8,6 +8,7 @@ same (n, d) pair batch and the ensemble score is the plain average.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from pairbag.learner import (
     TrainingError,
     fine_tune,
     forward,
-    head_input,
     head_scores,
     init_scratch,
     init_transfer,
@@ -71,13 +71,15 @@ def train_ensemble(
     topology: SiameseTopology,
     mode: str = "scratch",
     pretrained: PretrainedExtractor | None = None,
+    on_member: Callable[[BaseModel], object] | None = None,
 ) -> Ensemble:
     """Train one base model per assigned chunk and bundle them.
 
     Model i (1-based) is trained on the k-shot positives plus chunk
     assignment.assigned[i-1], initialized from derive_seed(config.seed, i)
     so members differ only through their seed path and their chunk. A
-    TrainingError names the member (1-based) that diverged.
+    TrainingError names the member (1-based) that diverged. on_member, if
+    given, gets each model as soon as it is trained, in member order.
     """
     if mode not in ARMS:
         raise ValueError(f"mode must be one of {ARMS}, got {mode!r}")
@@ -95,24 +97,29 @@ def train_ensemble(
             trained, _ = fine_tune(init, indices, dataset, config)
         except TrainingError as exc:
             raise TrainingError(f"member {i}: {exc}") from exc
+        if on_member is not None:
+            on_member(trained)
         models.append(trained)
     return Ensemble(models=tuple(models), assignment=assignment, draw=draw, seed=config.seed)
 
 
-def member_scores(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Per-model scores of n pairs, shape (size, n); used for per-member calibration.
+def member_scores(
+    models: Sequence[BaseModel], pre: np.ndarray, post: np.ndarray,
+    features: np.ndarray | None = None, hidden: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-model scores of n pairs, shape (len(models), n); used for per-member calibration.
 
-    Members with bitwise-equal extractors, as in a transfer ensemble, score one
-    shared head input; the bytes equal a per-member forward pass.
+    features, if given, is head_input(model, pre, post) of every model, as in
+    a transfer ensemble; the heads alone then score it, writing their hidden
+    activations into `hidden`, an (n, head_hidden) buffer, when given. The
+    bytes equal a per-model forward pass.
     """
-    models = ensemble.models
-    extractor = models[0].extractor_weights.tobytes()
-    if any(m.extractor_weights.tobytes() != extractor for m in models[1:]):
+    if features is None:
         return np.stack([forward(m, pre, post) for m in models])
-    h = head_input(models[0], pre, post)
-    return np.stack([head_scores(m.head_weights, ensemble.topology, h) for m in models])
+    topology = models[0].topology
+    return np.stack([head_scores(m.head_weights, topology, features, hidden) for m in models])
 
 
 def predict_score(ensemble: Ensemble, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     """Unweighted mean of the base-model scores of n pairs, shape (n,)."""
-    return member_scores(ensemble, pre, post).mean(axis=0)
+    return member_scores(ensemble.models, pre, post).mean(axis=0)

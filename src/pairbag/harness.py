@@ -17,7 +17,7 @@ import dataclasses
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -30,13 +30,17 @@ from pairbag.calibrate import (
     calibration_errors,
     records_from_scores,
 )
-from pairbag.data import PairDataset, SyntheticSpec, draw_k_shot, generate_synthetic, load_manifest
+from pairbag.data import (
+    PairDataset, SyntheticSpec, draw_k_shot, generate_synthetic, load_manifest, read_utf8,
+)
 from pairbag.ensemble import member_scores, train_ensemble
 from pairbag.learner import (
     ARMS,
     PretrainedExtractor,
     SiameseTopology,
     TrainingError,
+    head_input,
+    init_transfer,
     pretrain_extractor,
 )
 from pairbag.optimize import TrainConfig
@@ -160,11 +164,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     parser.read_string(resources.files("pairbag").joinpath("default.ini").read_text())
     schema = {section: set(parser[section]) for section in parser.sections()}
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"config {path} is not UTF-8 text: {exc}") from None
-        parser.read_string(text, source=str(path))
+        parser.read_string(read_utf8(path, "config"), source=str(path))
     if parser.defaults():
         raise ValueError(f"unknown key(s) in [DEFAULT]: {', '.join(parser.defaults())}")
     for section in parser.sections():
@@ -479,13 +479,14 @@ def split_indices(
 
 @dataclass(frozen=True, eq=False)
 class ExperimentContext:
-    """Holdout split and pretrained extractor shared by every trial."""
+    """Holdout split, pretrained extractor and test head input shared by every trial."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
     train: PairDataset
     test: PairDataset
     pretrained: PretrainedExtractor | None
+    test_features: np.ndarray | None
 
 
 def _check_feasible(train: PairDataset, k_shots, ensemble_sizes) -> None:
@@ -520,15 +521,20 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
     _check_feasible(train, spec.k_shots, spec.ensemble_sizes)
-    pretrained = None
+    pretrained = features = None
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
+        # Any head will do: the head input depends on the extractor alone.
+        model = init_transfer(spec.topology(dataset.dim), pretrained, 0)
+        features = head_input(model, test.pre, test.post)
+        features.setflags(write=False)
     return ExperimentContext(
         train_idx=train_idx,
         test_idx=test_idx,
         train=train,
         test=test,
         pretrained=pretrained,
+        test_features=features,
     )
 
 
@@ -588,10 +594,12 @@ def run_trial(
     """Train one ensemble on fresh k-shot/chunk draws and evaluate it.
 
     Draw, plan, assignment, and training seeds all derive from trial_seed.
-    Raises before any training if m chunks of size k do not fit in the
-    train-split negatives, LeakageError if any base-model training row
-    maps into the test set, and TrainingError naming the cell, the trial
-    and the member if training diverges.
+    A thread scores each member while the next trains, unless no training
+    can overlap it (|M| = 1) or this is a pool worker, whose siblings keep
+    the other cores busy. Raises before any training if m chunks of size k
+    do not fit in the train-split negatives, LeakageError if any base-model
+    training row maps into the test set, and TrainingError naming the cell,
+    the trial and the member if training diverges.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
@@ -605,34 +613,38 @@ def run_trial(
         iterations=spec.iteration_budget(arm, k),
         seed=derive_seed(trial_seed, TRAIN_STREAM),
     )
-    try:
-        ensemble = train_ensemble(
-            context.train,
-            draw,
-            plan,
-            assignment,
-            config,
-            mode=arm,
-            topology=spec.topology(context.train.dim),
-            pretrained=context.pretrained,
-        )
-    except TrainingError as exc:
-        raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
+    test = context.test
+    features = context.test_features if arm == "transfer" else None
+    # Made here: the scoring thread's own malloc arena would keep its pages.
+    hidden = None if features is None else np.empty((len(test), spec.head_hidden))
+    scored: list[Future] = []
+    with ThreadPoolExecutor(max_workers=1) as scorer:
+        submit = scorer.submit if _WORKER_CTX is None and m > 1 else _run_now
 
-    # Leakage guard: map each member's train-relative D_i rows to original
-    # dataset rows and demand an empty intersection with the test rows.
-    overlap = 0
-    for i in range(1, m + 1):
-        original = context.train_idx[base_training_set(draw, plan, assignment, i)]
-        overlap += int(np.intersect1d(original, context.test_idx).size)
-    if overlap:
-        raise LeakageError(f"{overlap} training rows leaked into the test set")
+        def score(model):
+            scored.append(submit(member_scores, (model,), test.pre, test.post, features, hidden))
 
-    per_model = member_scores(ensemble, context.test.pre, context.test.post)
+        try:
+            train_ensemble(context.train, draw, plan, assignment, config, mode=arm,
+                           topology=spec.topology(context.train.dim),
+                           pretrained=context.pretrained, on_member=score)
+        except TrainingError as exc:
+            raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
+
+        # Leakage guard: map each member's train-relative D_i rows to original
+        # dataset rows and demand an empty intersection with the test rows.
+        overlap = 0
+        for i in range(1, m + 1):
+            original = context.train_idx[base_training_set(draw, plan, assignment, i)]
+            overlap += _overlap_count(original, context.test_idx)
+        if overlap:
+            raise LeakageError(f"{overlap} training rows leaked into the test set")
+        per_model = np.concatenate([future.result() for future in scored])
+
     predictions = (per_model.mean(axis=0) >= 0.5).astype(np.int64)
-    accuracy = 100.0 * float(np.mean(predictions == context.test.labels))
+    accuracy = 100.0 * float(np.mean(predictions == test.labels))
     calibrations = tuple(
-        calibration_errors(records_from_scores(scores, context.test.labels))
+        calibration_errors(records_from_scores(scores, test.labels))
         for scores in per_model
     )
     return TrialReport(
@@ -644,6 +656,18 @@ def run_trial(
         calibrations=calibrations,
         leakage_overlap=overlap,
     )
+
+
+def _overlap_count(rows: np.ndarray, test_idx: np.ndarray) -> int:
+    """np.intersect1d(rows, test_idx).size without sorting test_idx."""
+    return int(np.unique(rows[np.isin(rows, test_idx)]).size)
+
+
+def _run_now(fn, *args) -> Future:
+    """fn(*args) run here and now, as a finished Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None
@@ -779,9 +803,8 @@ def write_reports_jsonl(reports: list[TrialReport], path: str | Path) -> None:
 
 
 def load_reports_jsonl(path: str | Path) -> list[TrialReport]:
-    path = Path(path)
     reports = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, "results").splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -180,9 +180,12 @@ def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarra
     return np.concatenate([_extract(layers, x) for x in (pre, post)], axis=1)
 
 
-def head_scores(head: np.ndarray, topology: SiameseTopology, h: np.ndarray) -> np.ndarray:
-    """Scores in (0, 1) of head inputs h under the flat head weights `head`."""
-    return _head(_unpack(head, topology.layer_shapes()[-2:]), h)[0]
+def head_scores(
+    head: np.ndarray, topology: SiameseTopology, h: np.ndarray, r1: np.ndarray | None = None
+) -> np.ndarray:
+    """Scores in (0, 1) of head inputs h under the flat head weights `head`;
+    the hidden activation is written into `r1` when given."""
+    return _head(_unpack(head, topology.layer_shapes()[-2:]), h, r1)[0]
 
 
 def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:

@@ -280,6 +280,15 @@ class TestReport:
         assert main(["report", "--results", str(tmp_path / "none.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_results_names_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff" + b'{"trial_index": 0}\n')
+        assert main(["report", "--results", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: results {path} is not UTF-8 text: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_malformed_jsonl_names_line(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"not": "a report"}\n')

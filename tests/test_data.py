@@ -8,7 +8,6 @@ from pairbag.data import (
     ManifestError,
     PairDataset,
     SyntheticSpec,
-    change_direction,
     draw_k_shot,
     generate_synthetic,
     load_manifest,
@@ -102,15 +101,13 @@ class TestGenerateSynthetic:
             )
             ds = generate_synthetic(spec)
             diff = ds.post - ds.pre
-            u = change_direction(spec)
+            # generate_synthetic's first draw is the change direction.
+            u = np.random.default_rng(seed).standard_normal(spec.d)
+            u /= np.linalg.norm(u)
             pos_mean = diff[ds.positives].mean(axis=0)
             neg_mean = diff[ds.negatives].mean(axis=0)
             np.testing.assert_allclose(neg_mean, 0.0, atol=0.1)
             np.testing.assert_allclose(pos_mean, 3.0 * u, atol=0.1)
-
-    def test_change_direction_is_unit_norm(self):
-        spec = SyntheticSpec(d=9, n_pos=1, n_neg=1, separation=1.0, noise_scale=1.0, seed=3)
-        assert np.linalg.norm(change_direction(spec)) == pytest.approx(1.0, abs=1e-12)
 
     def test_separation_is_mean_distance(self):
         """The class-conditional means of (post - pre) sit `separation` apart."""

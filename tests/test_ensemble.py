@@ -14,6 +14,7 @@ from pairbag.learner import (
     PretrainedExtractor,
     SiameseTopology,
     forward,
+    head_input,
     init_scratch,
     init_transfer,
 )
@@ -157,7 +158,7 @@ class TestPrediction:
         rng = np.random.default_rng(6)
         pre = rng.standard_normal((10, 4))
         post = rng.standard_normal((10, 4))
-        per_model = member_scores(ens, pre, post)
+        per_model = member_scores(ens.models, pre, post)
         assert per_model.shape == (4, 10)
         for i, member in enumerate(ens.models):
             np.testing.assert_array_equal(per_model[i], forward(member, pre, post))
@@ -166,8 +167,9 @@ class TestPrediction:
         )
 
     def test_shared_extractor_scores_equal_forward_loop_bytewise(self):
-        """Members sharing one frozen extractor are scored from one head input;
-        the bytes equal a per-member forward pass."""
+        """Members sharing one frozen extractor are scored from one head input,
+        computed here or passed in, with or without a hidden-activation
+        buffer; the bytes equal a per-member forward pass."""
         t = small_topology()
         pretrained = PretrainedExtractor(
             t.extractor_sizes, init_scratch(t, 3).extractor_weights.copy()
@@ -183,4 +185,8 @@ class TestPrediction:
         pre = rng.standard_normal((700, 4))
         post = rng.standard_normal((700, 4))
         loop = np.stack([forward(m, pre, post) for m in models])
-        assert np.array_equal(member_scores(ens, pre, post), loop)
+        assert np.array_equal(member_scores(ens.models, pre, post), loop)
+        features = head_input(models[0], pre, post)
+        hidden = np.empty((700, t.head_hidden))
+        for i, model in enumerate(models):
+            assert np.array_equal(member_scores([model], pre, post, features, hidden)[0], loop[i])

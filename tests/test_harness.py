@@ -3,11 +3,15 @@
 import dataclasses
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pairbag import harness
+from pairbag import ensemble, harness
 from pairbag.calibrate import CalibrationReport
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.harness import (
@@ -29,6 +33,7 @@ from pairbag.harness import (
     trial_seed_for,
     write_reports_jsonl,
 )
+from pairbag.learner import TrainingError, head_input, init_transfer
 
 
 def tiny_spec(trials=3, arms=ARMS, sizes=(1, 2)):
@@ -285,6 +290,94 @@ class TestRunTrial:
         with pytest.raises(LeakageError, match="leaked into the test set"):
             run_trial(spec, "scratch", 2, 1, 0, context=leaky)
 
+    def test_training_error_in_a_middle_member_keeps_its_message(self, monkeypatch):
+        """The scoring thread has ended when the error reaches the caller."""
+        spec = tiny_spec()
+        ctx = build_context(spec)
+        real_fine_tune = ensemble.fine_tune
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrainingError("iteration 3: non-finite loss")
+            return real_fine_tune(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "fine_tune", fail_second)
+        threads = threading.active_count()
+        with pytest.raises(
+            TrainingError,
+            match=r"^arm scratch, k=2, \|M\|=3, trial 4, member 2: iteration 3: non-finite loss$",
+        ):
+            run_trial(spec, "scratch", 2, 3, 0, trial_index=4, context=ctx)
+        assert threading.active_count() == threads
+
+    def test_scoring_error_reaches_the_caller(self, monkeypatch):
+        spec = tiny_spec()
+        ctx = build_context(spec)
+
+        def broken(*args):
+            raise FloatingPointError("scoring failed")
+
+        monkeypatch.setattr(harness, "member_scores", broken)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="scoring failed"):
+            run_trial(spec, "transfer", 2, 2, 0, context=ctx)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("in_worker, m", [(False, 2), (True, 2), (False, 1)])
+    def test_members_are_scored_off_the_main_thread_except_in_workers_or_alone(
+        self, monkeypatch, in_worker, m
+    ):
+        spec = tiny_spec()
+        ctx = build_context(spec)
+        expected = run_trial(spec, "transfer", 2, m, 7, context=ctx)
+        if in_worker:
+            monkeypatch.setattr(harness, "_WORKER_CTX", (spec, ctx))
+        scorers = []
+        real_member_scores = harness.member_scores
+
+        def record(*args):
+            scorers.append(threading.current_thread())
+            return real_member_scores(*args)
+
+        monkeypatch.setattr(harness, "member_scores", record)
+        report = run_trial(spec, "transfer", 2, m, 7, context=ctx)
+        assert report == expected
+        on_main = [t is threading.main_thread() for t in scorers]
+        assert on_main == [in_worker or m == 1] * m
+
+    def test_concurrent_trials_under_a_short_switch_interval_match_serial_ones(self):
+        """Trials sharing one context from more threads than cores, each with
+        its own scoring thread, give the reports of serial runs."""
+        spec = tiny_spec()
+        # About 900 test rows, so that a shared scoring buffer would be overwritten.
+        spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, n_neg=3000))
+        ctx = build_context(spec)
+        jobs = [(arm, m, t) for arm in ARMS for m in (1, 3) for t in range(6)]
+
+        def trial(job):
+            arm, m, t = job
+            return run_trial(spec, arm, 2, m, trial_seed_for(spec, arm, 2, m, t), t, context=ctx)
+
+        expected = [trial(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reports = list(pool.map(trial, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == expected
+
+    def test_context_holds_the_transfer_test_features(self):
+        spec = tiny_spec()
+        ctx = build_context(spec)
+        model = init_transfer(spec.topology(ctx.test.dim), ctx.pretrained, 3)
+        assert np.array_equal(ctx.test_features, head_input(model, ctx.test.pre, ctx.test.post))
+        assert not ctx.test_features.flags.writeable
+        assert build_context(tiny_spec(arms=("scratch",))).test_features is None
+
     def test_unknown_arm(self):
         spec = tiny_spec()
         with pytest.raises(ValueError, match="unknown arm"):
@@ -300,6 +393,16 @@ class TestRunTrial:
             spec, "scratch", 2, 2, trial_seed_for(spec, "scratch", 2, 2, 0), context=ctx
         )
         assert report.accuracy >= 90.0
+
+
+# Index arrays with repeats, in any order, over a range small enough to collide.
+INDICES = st.lists(st.integers(-5, 40), max_size=30).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=INDICES, test_idx=INDICES)
+def test_overlap_count_is_the_intersect1d_size(rows, test_idx):
+    assert harness._overlap_count(rows, test_idx) == np.intersect1d(rows, test_idx).size
 
 
 class TestRunExperiment:
