@@ -53,14 +53,6 @@ class Ensemble:
             raise ValueError("all base models must share one topology")
         object.__setattr__(self, "models", tuple(self.models))
 
-    @property
-    def size(self) -> int:
-        return len(self.models)
-
-    @property
-    def topology(self) -> SiameseTopology:
-        return self.models[0].topology
-
 
 def train_ensemble(
     dataset: PairDataset,

@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import itertools
 import json
+import logging
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from pairbag import blas
 from pairbag.calibrate import (
     CalibrationReport,
     aggregate_calibration,
@@ -56,6 +58,8 @@ from pairbag.seeding import (
     TRIAL_STREAM,
     derive_seed,
 )
+
+log = logging.getLogger(__name__)
 
 
 class LeakageError(AssertionError):
@@ -676,6 +680,10 @@ _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None
 def _worker_init(spec: ExperimentSpec, ctx: ExperimentContext) -> None:
     global _WORKER_CTX
     _WORKER_CTX = (spec, ctx)
+    # Sibling workers keep the other cores busy; more BLAS threads would
+    # only compete with them.
+    if not blas.set_threads(1):
+        log.info("pool worker %d: no OpenBLAS thread control found", os.getpid())
 
 
 def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:

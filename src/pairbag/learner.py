@@ -14,10 +14,15 @@ large-corpus pretraining.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from pairbag import blas
 from pairbag.data import PairDataset
 from pairbag.optimize import AdamState, TrainConfig, adam_step, loss, smooth_target
 
@@ -149,11 +154,17 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | N
     return np.maximum(z, 0.0, out=z)
 
 
-def _extract(layers: list, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+def _extract(layers: list, x: np.ndarray, acts: list) -> np.ndarray:
     """The extractor's ReLU layers applied to rows x; layer i writes into acts[i]."""
-    for i, (w, b) in enumerate(layers):
-        x = _relu_layer(x, w, b, None if acts is None else acts[i])
+    for (w, b), out in zip(layers, acts):
+        x = _relu_layer(x, w, b, out)
     return x
+
+
+def _halves(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the pre and post feature blocks of head inputs h."""
+    f = h.shape[1] // 2
+    return h[:, :f], h[:, f:]
 
 
 def _head(layers: list, h: np.ndarray, r1: np.ndarray | None = None):
@@ -177,7 +188,15 @@ def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarra
             f"pair batch shapes {pre.shape} / {post.shape} are not (n, input dim {d})"
         )
     layers = _unpack(model.extractor_weights, model.topology.layer_shapes()[:-2])
-    return np.concatenate([_extract(layers, x) for x in (pre, post)], axis=1)
+    n, sizes = pre.shape[0], model.topology.extractor_sizes
+    h = np.empty((n, 2 * sizes[-1]))
+    # Each branch's last layer writes its half of h. The hidden layers'
+    # buffers come after h and serve both branches, so that no freed
+    # intermediate stays resident in the heap below h.
+    hidden = [np.empty((n, s)) for s in sizes[1:-1]]
+    for x, half in zip((pre, post), _halves(h)):
+        _extract(layers, x, hidden + [half])
+    return h
 
 
 def head_scores(
@@ -205,29 +224,39 @@ class Workspace:
     batches of n pairs under one topology, allocated once per training run.
 
     A call given a workspace writes into these buffers and returns `grad`,
-    so the next call with the same workspace overwrites that gradient.
+    so the next call with the same workspace overwrites that gradient. The
+    two branches share no buffer, so they can run on two threads at once.
     """
 
     def __init__(self, topology: SiameseTopology, n: int) -> None:
         self.topology, self.n = topology, n
         ext = topology.extractor_sizes[1:]
-        # acts[branch][i]: output of extractor layer i for pre (0) or post (1).
-        self.acts = [[np.empty((n, s)) for s in ext] for _ in range(2)]
-        # A buffer whose value is dead takes the next one of its shape: h
-        # then dh, the head's hidden activation r1 then dz1, and per layer
-        # d(loss)/d(acts[i]) then d(loss)/d(pre-activation).
+        # The head input [f(pre), f(post)] and d(loss)/d(h), which has a buffer
+        # of its own so that it can be formed while the head's weight term
+        # reads h.
         self.h = np.empty((n, 2 * topology.feature_size))
+        self.dh = np.empty(self.h.shape)
+        self.h_halves, self.dh_halves = _halves(self.h), _halves(self.dh)
+        # acts[branch][i]: output of extractor layer i for pre (0) or post (1),
+        # the last one copied into the branch's half of h. Backpropagation
+        # overwrites it with d(loss)/d(that layer's pre-activation) once the
+        # layer above has read it. Writing the last layer into h directly
+        # would make its ufuncs stride over rows, which cost more than the copy.
+        self.acts = [[np.empty((n, s)) for s in ext] for _ in range(2)]
+        # masks[branch][i]: where acts[branch][i] > 0, taken in the forward pass.
+        self.masks = [[np.empty((n, s), dtype=bool) for s in ext] for _ in range(2)]
+        # The head's hidden activation r1, then dz1.
         self.r1 = np.empty((n, topology.head_hidden))
         self.r1_mask = np.empty(self.r1.shape, dtype=bool)
-        # Per extractor layer, shared by the branches, which backpropagate in turn.
-        self.masks = [np.empty((n, s), dtype=bool) for s in ext]
-        self.dz = [np.empty((n, s)) for s in ext]
         shapes = topology.layer_shapes()
         self.grad = np.empty(topology.param_count)
         self.g_layers = _unpack(self.grad, shapes)
         # Per layer: one term of the weight and bias gradient (the head's or one
         # branch's), added into the zero-filled grad so each is rounded alone.
+        # The post branch has extractor terms of its own.
         self.terms = _unpack(np.empty(topology.param_count), shapes)
+        post_terms = _unpack(np.empty(topology.extractor_param_count), shapes[: len(ext)])
+        self.branch_terms = (self.terms[: len(ext)], post_terms)
 
     def check(self, topology: SiameseTopology, n: int) -> None:
         """Raise ValueError unless this workspace was built for (topology, n)."""
@@ -238,6 +267,13 @@ class Workspace:
             )
 
 
+def _term(term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
+    """Write dz.T @ x and the column sums of dz into a layer's term (tw, tb)."""
+    tw, tb = term
+    np.matmul(dz.T, x, out=tw)
+    np.add.reduce(dz, axis=0, out=tb)
+
+
 def _accumulate(g_layer: tuple, term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
     """Add dz.T @ x and the column sums of dz into a layer's gradient (gw, gb)."""
     (gw, gb), (tw, tb) = g_layer, term
@@ -245,10 +281,14 @@ def _accumulate(g_layer: tuple, term: tuple, dz: np.ndarray, x: np.ndarray) -> N
     np.add(gb, np.add.reduce(dz, axis=0, out=tb), out=gb)
 
 
-def _head_backward(work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray):
+def _head_backward(
+    work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray,
+    dh: np.ndarray | None = None, executor: Executor | None = None,
+) -> float:
     """Mean loss of the head on inputs h; adds the head gradient into work.grad.
 
-    Also returns d(loss)/d(first head pre-activation), dz1, in the r1 buffer.
+    With `dh`, also writes d(loss)/d(h) into it, on the executor's thread
+    when one is given.
     """
     scores, r1 = _head(layers, h, work.r1)
     mean_loss = loss(scores, targets)
@@ -263,8 +303,49 @@ def _head_backward(work: Workspace, layers: list, h: np.ndarray, targets: np.nda
     # Masks multiply: np.where or copyto would turn a -0.0 into +0.0.
     dz1 = np.matmul(dlogit, layers[1][0], out=r1)
     np.multiply(dz1, mask, out=dz1)
-    _accumulate(g1, t1, dz1, h)
-    return mean_loss, dz1
+    if dh is None:
+        _accumulate(g1, t1, dz1, h)
+    else:
+        _both(
+            executor,
+            partial(_accumulate, g1, t1, dz1, h),
+            partial(np.matmul, dz1, layers[0][0], out=dh),
+        )
+    return mean_loss
+
+
+def _branch_forward(
+    layers: list, x: np.ndarray, acts: list, masks: list, features: np.ndarray
+) -> None:
+    """One branch's extractor layers on rows x into acts and `features`, and
+    their ReLU masks."""
+    np.copyto(features, _extract(layers, x, acts))
+    for a, mask in zip(acts, masks):
+        np.greater(a, 0.0, out=mask)
+
+
+def _branch_backward(
+    layers: list, x: np.ndarray, acts: list, masks: list, terms: list, da: np.ndarray
+) -> None:
+    """One branch's extractor gradient terms, from d(loss)/d(its features) in da."""
+    for li in range(len(layers) - 1, -1, -1):
+        dz = np.multiply(da, masks[li], out=acts[li])
+        _term(terms[li], dz, acts[li - 1] if li else x)
+        if li:
+            da = np.matmul(dz, layers[li][0], out=acts[li - 1])
+
+
+def _both(executor: Executor | None, first, second) -> None:
+    """first() and second(); with an executor, second runs on its thread meanwhile."""
+    if executor is None:
+        first()
+        second()
+        return
+    running = executor.submit(second)
+    try:
+        first()
+    finally:
+        running.result()
 
 
 def _finite(grad: np.ndarray) -> np.ndarray:
@@ -292,7 +373,7 @@ def head_loss_and_gradient(
     work.check(topology, h.shape[0])
     grad = work.grad[topology.extractor_param_count :]
     grad.fill(0.0)
-    mean_loss, _ = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
+    mean_loss = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
     return mean_loss, _finite(grad)
 
 
@@ -302,6 +383,8 @@ def loss_and_gradient(
     post: np.ndarray,
     targets: np.ndarray,
     work: Workspace | None = None,
+    *,
+    executor: Executor | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE over the batch and its analytic gradient.
 
@@ -312,7 +395,10 @@ def loss_and_gradient(
     `work` holds every intermediate; without it a fresh Workspace is built.
     The gradient returned is work.grad: the next call with the same
     workspace overwrites it. A workspace built for another topology or row
-    count raises ValueError.
+    count raises ValueError. With `executor`, the post branch's forward and
+    backward passes run on its thread while this one runs the pre branch's,
+    and d(loss)/d(h) is formed there while this thread forms the head's
+    first weight term; the result has the same bytes.
     """
     topology = model.topology
     if work is None:
@@ -320,25 +406,33 @@ def loss_and_gradient(
     work.check(topology, pre.shape[0])
     layers = _unpack(model.weights, topology.layer_shapes())
     n_ext = len(topology.extractor_sizes) - 1
+    ext = layers[:n_ext]
     # The branches stay separate gemms; one stacked (2n, d) batch would
     # reorder the sums of the extractor's weight gradients.
-    inputs = (pre, post)
-    feats = [_extract(layers[:n_ext], x, acts) for x, acts in zip(inputs, work.acts)]
-    h = np.concatenate(feats, axis=1, out=work.h)
+    (pre_acts, post_acts), (pre_masks, post_masks) = work.acts, work.masks
+    pre_h, post_h = work.h_halves
+    _both(
+        executor,
+        partial(_branch_forward, ext, pre, pre_acts, pre_masks, pre_h),
+        partial(_branch_forward, ext, post, post_acts, post_masks, post_h),
+    )
 
     work.grad.fill(0.0)
-    mean_loss, dz1 = _head_backward(work, layers[n_ext:], h, targets)
-    dh = np.matmul(dz1, layers[n_ext][0], out=h)
+    mean_loss = _head_backward(work, layers[n_ext:], work.h, targets, work.dh, executor)
 
-    f = topology.feature_size
-    for x, acts, dfeat in zip(inputs, work.acts, (dh[:, :f], dh[:, f:])):
-        da = dfeat
-        for li in range(n_ext - 1, -1, -1):
-            mask = np.greater(acts[li], 0.0, out=work.masks[li])
-            dz = np.multiply(da, mask, out=work.dz[li])
-            _accumulate(work.g_layers[li], work.terms[li], dz, acts[li - 1] if li else x)
-            if li > 0:
-                da = np.matmul(dz, layers[li][0], out=work.dz[li - 1])
+    pre_terms, post_terms = work.branch_terms
+    pre_dh, post_dh = work.dh_halves
+    _both(
+        executor,
+        partial(_branch_backward, ext, pre, pre_acts, pre_masks, pre_terms, pre_dh),
+        partial(_branch_backward, ext, post, post_acts, post_masks, post_terms, post_dh),
+    )
+    # Each extractor layer's gradient is 0 + pre term + post term, in that order.
+    for (gw, gb), (pw, pb), (qw, qb) in zip(work.g_layers, pre_terms, post_terms):
+        np.add(gw, pw, out=gw)
+        np.add(gb, pb, out=gb)
+        np.add(gw, qw, out=gw)
+        np.add(gb, qb, out=gb)
     return mean_loss, _finite(work.grad)
 
 
@@ -411,6 +505,8 @@ def fine_tune(
     indices: np.ndarray,
     dataset: PairDataset,
     config: TrainConfig,
+    *,
+    executor: Executor | None = None,
 ) -> tuple[BaseModel, np.ndarray]:
     """Train a model on dataset rows `indices` with full-batch Adam.
 
@@ -420,7 +516,8 @@ def fine_tune(
     intermediates into one Workspace built here. Returns the trained model
     and the training-loss trace (one entry per iteration, evaluated before
     each step; no monotonicity is promised). A TrainingError names the
-    1-based iteration.
+    1-based iteration. `executor` is passed on to every loss_and_gradient
+    call of a scratch model.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -442,12 +539,20 @@ def fine_tune(
             if n_frozen:
                 trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
             else:
-                trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
+                trace[step], grad = loss_and_gradient(
+                    step_model, pre, post, targets, work=work, executor=executor
+                )
         except TrainingError as exc:
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
         adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pretrain_extractor(
@@ -457,10 +562,17 @@ def pretrain_extractor(
     freeze its extractor.
 
     The source dataset must be disjoint from any evaluation data; with
-    budget 0 the extractor equals its scratch initialization.
+    budget 0 the extractor equals its scratch initialization. When BLAS runs
+    one thread and a second CPU is usable, each step's post branch runs on a
+    second thread; with more BLAS threads the gemms already use the cores.
     """
     config = TrainConfig(iterations=budget)
-    trained, _ = fine_tune(init_scratch(topology, seed), np.arange(len(source)), source, config)
+    threaded = blas.threads() == 1 and _usable_cpus() >= 2
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as executor:
+        trained, _ = fine_tune(
+            init_scratch(topology, seed), np.arange(len(source)), source, config,
+            executor=executor,
+        )
     return PretrainedExtractor(
         extractor_sizes=topology.extractor_sizes,
         weights=trained.extractor_weights.copy(),

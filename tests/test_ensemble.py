@@ -85,16 +85,11 @@ class TestEnsembleType:
                 seed=0,
             )
 
-    def test_size_and_topology(self):
-        ens = untrained_ensemble(4, small_topology())
-        assert ens.size == 4
-        assert ens.topology == small_topology()
-
 
 class TestTrainEnsemble:
     def test_members_are_trained_and_distinct(self):
         ens = build_ensemble(dataset(), m=4)
-        assert ens.size == 4
+        assert len(ens.models) == 4
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(ens.models[i].weights, ens.models[j].weights)

@@ -5,13 +5,13 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairbag import ensemble, harness
+from pairbag import blas, ensemble, harness
 from pairbag.calibrate import CalibrationReport
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.harness import (
@@ -452,6 +452,28 @@ class TestRunExperiment:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_spec(), workers=0)
+
+    @pytest.mark.skipif(blas.threads() is None, reason="no OpenBLAS thread control")
+    def test_pool_worker_runs_one_blas_thread(self):
+        """A worker started as run_experiment starts them runs BLAS on one
+        thread, whatever its parent runs."""
+        before = blas.threads()
+        blas.set_threads(2)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=harness._worker_init, initargs=(None, None)
+            ) as pool:
+                assert pool.submit(blas.threads).result(timeout=60) == 1
+            assert blas.threads() == 2
+        finally:
+            blas.set_threads(before)
+
+    def test_pool_worker_without_thread_control_says_so(self, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(blas, "set_threads", lambda count: False)
+        with caplog.at_level("INFO", logger="pairbag"):
+            harness._worker_init(None, None)
+        assert "no OpenBLAS thread control" in caplog.text
 
 
 class TestSummarize:

@@ -1,11 +1,13 @@
 """Tests for the siamese pair classifier: forward, init, training, freezing."""
 
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import pairbag.learner as learner
+from pairbag import blas
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.learner import (
     BaseModel,
@@ -462,6 +464,52 @@ class TestWorkspace:
                 loss_and_gradient(model, pre, post, targets, work=work)
             with pytest.raises(ValueError, match=both):
                 head_loss_and_gradient(model.head_weights, t, h, targets, work=work)
+
+
+class TestBranchThread:
+    @pytest.mark.parametrize("sizes", [(16, 128, 64), (8, 24, 16, 12, 6)])
+    @pytest.mark.parametrize("n", [1, 10, 1984])
+    def test_executor_changes_no_byte(self, sizes, n):
+        """The post branch on a second thread gives the serial call's loss and
+        gradient bytes, also through a reused workspace."""
+        rng = np.random.default_rng(n)
+        t = SiameseTopology(extractor_sizes=sizes, head_hidden=32)
+        work = Workspace(t, n)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for seed in (1, 2):
+                model = init_scratch(t, seed)
+                pre, post = rng.standard_normal((2, n, t.input_dim))
+                targets = smooth_target(rng.integers(0, 2, n), 0.1)
+                want_loss, want = loss_and_gradient(model, pre, post, targets)
+                got_loss, got = loss_and_gradient(
+                    model, pre, post, targets, work, executor=executor
+                )
+                assert got_loss == want_loss and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "threads, cpus, threaded",
+        [(1, 2, True), (1, 8, True), (2, 2, False), (1, 1, False), (None, 2, False)],
+    )
+    def test_pretraining_threads_only_at_one_blas_thread_and_two_cpus(
+        self, monkeypatch, threads, cpus, threaded
+    ):
+        source = separable_dataset(n_pos=10, n_neg=10, seed=4)
+        t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
+        executors = []
+        real = learner.fine_tune
+
+        def spy(*args, executor=None):
+            executors.append(executor)
+            return real(*args, executor=executor)
+
+        monkeypatch.setattr(blas, "threads", lambda: threads)
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(learner, "fine_tune", spy)
+        ext = pretrain_extractor(source, t, 3, 21)
+        assert isinstance(executors[0], ThreadPoolExecutor) == threaded
+        assert executors[0] is None or executors[0]._shutdown
+        model, _ = real(init_scratch(t, 21), np.arange(len(source)), source, TrainConfig(iterations=3))
+        assert ext.weights.tobytes() == model.extractor_weights.tobytes()
 
 
 class TestPretraining:
