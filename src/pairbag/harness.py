@@ -176,15 +176,21 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             raise ValueError(f"unknown config section [{section}]")
         for key in parser[section]:
             if section == "budgets":
-                arm, _, k = key.rpartition("_")
-                if arm not in ARMS or not k.isdecimal() or int(k) < 1:
-                    raise ValueError(
-                        f"bad key {key!r} in [budgets]: expected <arm>_<k> with arm "
-                        f"in {', '.join(ARMS)} and k a positive integer"
-                    )
+                _budget_key(key)
             elif key not in schema[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
     return parser
+
+
+def _budget_key(key: str) -> tuple[str, int]:
+    """(arm, k) of a [budgets] key; ValueError unless it reads <arm>_<k>."""
+    arm, _, k = key.rpartition("_")
+    if arm not in ARMS or not k.isdecimal() or int(k) < 1:
+        raise ValueError(
+            f"bad key {key!r} in [budgets]: expected <arm>_<k> with arm "
+            f"in {', '.join(ARMS)} and k a positive integer"
+        )
+    return arm, int(k)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -210,11 +216,7 @@ def _seed(cfg: configparser.ConfigParser, seed: int | None) -> int:
 
 def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]:
     budgets = cfg["budgets"]
-    rows = []
-    for key in budgets:
-        arm, _, k = key.rpartition("_")
-        rows.append((arm, int(k), _read(budgets, key, int)))
-    return tuple(sorted(rows))
+    return tuple(sorted((*_budget_key(key), _read(budgets, key, int)) for key in budgets))
 
 
 def _synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
@@ -716,8 +718,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
             for arm, k, m, t, seed in jobs
         ]
     else:
+        # A fork pool starts all of its workers at the first submit.
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(spec, ctx)
+            max_workers=min(workers, len(jobs)), initializer=_worker_init, initargs=(spec, ctx)
         ) as pool:
             reports = list(pool.map(_worker_run, jobs))
     reports.sort(key=lambda r: (r.arm, r.k, r.ensemble_size, r.trial_index))

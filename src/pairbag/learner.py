@@ -69,12 +69,16 @@ class SiameseTopology:
 
     @property
     def param_count(self) -> int:
-        return sum(o * (i + 1) for o, i in self.layer_shapes())
+        return _param_count(self.layer_shapes())
 
     @property
     def extractor_param_count(self) -> int:
-        ext = zip(self.extractor_sizes[1:], self.extractor_sizes[:-1])
-        return sum(o * (i + 1) for o, i in ext)
+        return _param_count(self.layer_shapes()[:-2])
+
+
+def _param_count(shapes) -> int:
+    """Weights plus biases of linear layers with these (out, in) shapes."""
+    return sum(o * (i + 1) for o, i in shapes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +121,7 @@ class PretrainedExtractor:
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.extractor_sizes)
-        expected = sum(o * (i + 1) for o, i in zip(sizes[1:], sizes[:-1]))
+        expected = _param_count(zip(sizes[1:], sizes[:-1]))
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.shape != (expected,):
             raise ValueError(f"extractor weights have {w.size} entries, expected {expected}")
@@ -249,14 +253,13 @@ class Workspace:
         self.r1 = np.empty((n, topology.head_hidden))
         self.r1_mask = np.empty(self.r1.shape, dtype=bool)
         shapes = topology.layer_shapes()
+        # The head's and the pre branch's gradient terms are written into
+        # grad's layer views; the post branch's extractor terms go to
+        # post_grad and are added into grad after it, so each is rounded alone.
         self.grad = np.empty(topology.param_count)
         self.g_layers = _unpack(self.grad, shapes)
-        # Per layer: one term of the weight and bias gradient (the head's or one
-        # branch's), added into the zero-filled grad so each is rounded alone.
-        # The post branch has extractor terms of its own.
-        self.terms = _unpack(np.empty(topology.param_count), shapes)
-        post_terms = _unpack(np.empty(topology.extractor_param_count), shapes[: len(ext)])
-        self.branch_terms = (self.terms[: len(ext)], post_terms)
+        self.post_grad = np.empty(topology.extractor_param_count)
+        self.branch_terms = (self.g_layers[: len(ext)], _unpack(self.post_grad, shapes[: len(ext)]))
 
     def check(self, topology: SiameseTopology, n: int) -> None:
         """Raise ValueError unless this workspace was built for (topology, n)."""
@@ -274,18 +277,11 @@ def _term(term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
     np.add.reduce(dz, axis=0, out=tb)
 
 
-def _accumulate(g_layer: tuple, term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
-    """Add dz.T @ x and the column sums of dz into a layer's gradient (gw, gb)."""
-    (gw, gb), (tw, tb) = g_layer, term
-    np.add(gw, np.matmul(dz.T, x, out=tw), out=gw)
-    np.add(gb, np.add.reduce(dz, axis=0, out=tb), out=gb)
-
-
 def _head_backward(
     work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray,
     dh: np.ndarray | None = None, executor: Executor | None = None,
 ) -> float:
-    """Mean loss of the head on inputs h; adds the head gradient into work.grad.
+    """Mean loss of the head on inputs h; writes its gradient terms into work.grad.
 
     With `dh`, also writes d(loss)/d(h) into it, on the executor's thread
     when one is given.
@@ -297,18 +293,18 @@ def _head_backward(
     # d(mean BCE)/d(logit) = (score - target) / n for sigmoid outputs. A ReLU
     # output is > 0 exactly where its input is, so masks read activations.
     dlogit = ((scores - targets) / h.shape[0])[:, None]
-    (g1, g2), (t1, t2) = work.g_layers[-2:], work.terms[-2:]
-    _accumulate(g2, t2, dlogit, r1)
+    g1, g2 = work.g_layers[-2:]
+    _term(g2, dlogit, r1)
     mask = np.greater(r1, 0.0, out=work.r1_mask)
     # Masks multiply: np.where or copyto would turn a -0.0 into +0.0.
     dz1 = np.matmul(dlogit, layers[1][0], out=r1)
     np.multiply(dz1, mask, out=dz1)
     if dh is None:
-        _accumulate(g1, t1, dz1, h)
+        _term(g1, dz1, h)
     else:
         _both(
             executor,
-            partial(_accumulate, g1, t1, dz1, h),
+            partial(_term, g1, dz1, h),
             partial(np.matmul, dz1, layers[0][0], out=dh),
         )
     return mean_loss
@@ -372,8 +368,9 @@ def head_loss_and_gradient(
         work = Workspace(topology, h.shape[0])
     work.check(topology, h.shape[0])
     grad = work.grad[topology.extractor_param_count :]
-    grad.fill(0.0)
     mean_loss = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
+    # 0 + term, as summed into a zero-filled gradient: a -0.0 becomes +0.0.
+    np.add(grad, 0.0, out=grad)
     return mean_loss, _finite(grad)
 
 
@@ -417,7 +414,6 @@ def loss_and_gradient(
         partial(_branch_forward, ext, post, post_acts, post_masks, post_h),
     )
 
-    work.grad.fill(0.0)
     mean_loss = _head_backward(work, layers[n_ext:], work.h, targets, work.dh, executor)
 
     pre_terms, post_terms = work.branch_terms
@@ -427,12 +423,11 @@ def loss_and_gradient(
         partial(_branch_backward, ext, pre, pre_acts, pre_masks, pre_terms, pre_dh),
         partial(_branch_backward, ext, post, post_acts, post_masks, post_terms, post_dh),
     )
-    # Each extractor layer's gradient is 0 + pre term + post term, in that order.
-    for (gw, gb), (pw, pb), (qw, qb) in zip(work.g_layers, pre_terms, post_terms):
-        np.add(gw, pw, out=gw)
-        np.add(gb, pb, out=gb)
-        np.add(gw, qw, out=gw)
-        np.add(gb, qb, out=gb)
+    # Each entry is 0 + the head's or the pre branch's term (so a -0.0 term
+    # becomes +0.0), then + the post branch's term, in that order.
+    np.add(work.grad, 0.0, out=work.grad)
+    ext_grad = work.grad[: work.post_grad.size]
+    np.add(ext_grad, work.post_grad, out=ext_grad)
     return mean_loss, _finite(work.grad)
 
 

@@ -449,6 +449,28 @@ class TestRunExperiment:
         run_experiment(tiny_spec(), workers=2)
         assert log.read_text().splitlines() == [str(os.getpid())]
 
+    def test_pool_asks_for_no_more_workers_than_jobs(self, monkeypatch):
+        """A fork pool starts every worker it may have at the first submit."""
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                monkeypatch.setattr(harness, "_WORKER_CTX", initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        reports = run_experiment(tiny_spec(trials=2, arms=("scratch",), sizes=(1,)), workers=64)
+        assert asked == [2] and len(reports) == 2
+
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_spec(), workers=0)

@@ -25,21 +25,26 @@ from pairbag.learner import (
     loss_and_gradient,
     pretrain_extractor,
 )
-from pairbag.optimize import AdamState, TrainConfig, adam_step, smooth_target
+from pairbag.optimize import AdamState, TrainConfig, adam_step, loss, smooth_target
 
 
-def oracle_forward(model, pre, post):
-    """Independent per-row reimplementation of the siamese forward pass."""
-    topology = model.topology
-    n_ext = len(topology.extractor_sizes) - 1
+def oracle_layers(model):
+    """(W, b) per layer of the model's flat weight vector; W is (out, in)."""
     mats = []
     offset = 0
-    for out, inp in topology.layer_shapes():
+    for out, inp in model.topology.layer_shapes():
         w = model.weights[offset : offset + out * inp].reshape(out, inp)
         offset += out * inp
         b = model.weights[offset : offset + out]
         offset += out
         mats.append((w, b))
+    return mats
+
+
+def oracle_forward(model, pre, post):
+    """Independent per-row reimplementation of the siamese forward pass."""
+    n_ext = len(model.topology.extractor_sizes) - 1
+    mats = oracle_layers(model)
 
     def run_extractor(x):
         a = x
@@ -56,6 +61,48 @@ def oracle_forward(model, pre, post):
         z = float((w2 @ r + b2)[0])
         scores.append(1.0 / (1.0 + np.exp(-z)))
     return np.array(scores)
+
+
+def oracle_loss_and_gradient(model, pre, post, targets):
+    """Batch loss and gradient, assembled straight-line into a zero-filled
+    vector: per layer += the head term, then the pre term, then the post term,
+    each dz.T @ x and the column sums of dz."""
+    topology = model.topology
+    n_ext = len(topology.extractor_sizes) - 1
+    mats = oracle_layers(model)
+    grad = np.zeros(topology.param_count)
+    views = learner._unpack(grad, topology.layer_shapes())
+
+    def add_term(layer, dz, x):
+        gw, gb = views[layer]
+        gw += dz.T @ x
+        gb += dz.sum(axis=0)
+
+    def extract(x):
+        acts = [x]
+        for w, b in mats[:n_ext]:
+            acts.append(np.maximum(x @ w.T + b, 0.0))
+            x = acts[-1]
+        return acts
+
+    branches = [extract(pre), extract(post)]
+    h = np.concatenate([branches[0][-1], branches[1][-1]], axis=1)
+    (w1, b1), (w2, b2) = mats[n_ext:]
+    r1 = np.maximum(h @ w1.T + b1, 0.0)
+    scores = learner._sigmoid((r1 @ w2.T + b2)[:, 0])
+    mean_loss = loss(scores, targets)
+    dlogit = ((scores - targets) / h.shape[0])[:, None]
+    add_term(n_ext + 1, dlogit, r1)
+    dz1 = (dlogit @ w2) * (r1 > 0.0)
+    add_term(n_ext, dz1, h)
+    dh = dz1 @ w1
+    f = topology.feature_size
+    for acts, da in zip(branches, (dh[:, :f], dh[:, f:])):
+        for li in range(n_ext - 1, -1, -1):
+            dz = da * (acts[li + 1] > 0.0)
+            add_term(li, dz, acts[li])
+            da = dz @ mats[li][0]
+    return mean_loss, grad
 
 
 def random_topology(rng):
@@ -414,6 +461,62 @@ class TestHeadLossAndGradient:
             )
             assert head_loss == full_loss
             assert np.array_equal(head, full[t.extractor_param_count :])
+
+
+class TestGradientAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100])
+    def test_matches_straight_line_oracle_bytewise(self, n):
+        """Both gradients give the oracle's loss and gradient bytes: fresh,
+        through a reused workspace and with the executor, and over the head
+        slice alone."""
+        rng = np.random.default_rng(100 + n)
+        topologies = [random_topology(rng) for _ in range(4)] + [
+            SiameseTopology(extractor_sizes=(5, 9, 7, 6, 4), head_hidden=8),
+            SiameseTopology(extractor_sizes=(16, 128, 64), head_hidden=128),
+        ]
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for t in topologies:
+                work = Workspace(t, n)
+                for seed in (1, 2):
+                    model = init_scratch(t, seed)
+                    pre, post = rng.standard_normal((2, n, t.input_dim))
+                    targets = smooth_target(rng.integers(0, 2, n), 0.1)
+                    want_loss, want = oracle_loss_and_gradient(model, pre, post, targets)
+                    h = head_input(model, pre, post)
+                    head = want[t.extractor_param_count :]
+                    for got_loss, got in (
+                        loss_and_gradient(model, pre, post, targets),
+                        loss_and_gradient(model, pre, post, targets, work),
+                        loss_and_gradient(model, pre, post, targets, work, executor=executor),
+                    ):
+                        assert got_loss == want_loss and got.tobytes() == want.tobytes()
+                    for got_loss, got in (
+                        head_loss_and_gradient(model.head_weights, t, h, targets),
+                        head_loss_and_gradient(model.head_weights, t, h, targets, work),
+                    ):
+                        assert got_loss == want_loss and got.tobytes() == head.tobytes()
+
+    def test_negative_zero_terms_give_positive_zero(self, monkeypatch):
+        """Terms are summed into zeros, so -0.0 terms give +0.0 entries."""
+        real = learner._term
+
+        def negative_zero_term(term, dz, x):
+            real(term, dz, x)
+            for part in term:
+                part[part == 0.0] = -0.0
+
+        monkeypatch.setattr(learner, "_term", negative_zero_term)
+        rng = np.random.default_rng(5)
+        t = SiameseTopology(extractor_sizes=(3, 6, 4), head_hidden=8)
+        model = init_scratch(t, 3)
+        pre, post = rng.standard_normal((2, 1, 3))
+        targets = smooth_target(np.array([1]), 0.1)
+        _, grad = loss_and_gradient(model, pre, post, targets)
+        _, head = head_loss_and_gradient(
+            model.head_weights, t, head_input(model, pre, post), targets
+        )
+        for g in (grad, head):
+            assert (g == 0.0).any() and not np.signbit(g[g == 0.0]).any()
 
 
 class TestWorkspace:
