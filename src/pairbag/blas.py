@@ -1,16 +1,18 @@
-"""The thread count of the OpenBLAS library that numpy loaded, read and set.
+"""The thread count of the OpenBLAS library that numpy loaded, read or pinned.
 
 numpy's wheels bundle OpenBLAS with `scipy_` prefixed, `64_` suffixed
 symbols. Its thread-count functions are not numpy API, so they are looked up
 with ctypes in the library this process already has mapped. Where no such
 library is loaded (another BLAS, or a system without /proc), `threads`
-returns None and `set_threads` does nothing and returns False.
+returns None and `one_thread` changes nothing and yields False.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+from collections.abc import Iterator
 
 import numpy  # noqa: F401  (loads the BLAS library that _library looks for)
 
@@ -45,10 +47,13 @@ def threads() -> int | None:
     return None if lib is None else getattr(lib, _GET)()
 
 
-def set_threads(count: int) -> bool:
-    """Make OpenBLAS run each call on `count` threads; False if it cannot."""
+@contextlib.contextmanager
+def one_thread() -> Iterator[bool]:
+    """Run OpenBLAS on one thread inside the block; yields False if it cannot.
+    The caller's count is restored on exit, also when the block raises."""
     lib = _library()
-    if lib is None:
-        return False
-    getattr(lib, _SET)(count)
-    return True
+    with contextlib.ExitStack() as restore:
+        if lib is not None:
+            restore.callback(getattr(lib, _SET), getattr(lib, _GET)())
+            getattr(lib, _SET)(1)
+        yield lib is not None

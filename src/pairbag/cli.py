@@ -17,6 +17,7 @@ import argparse
 import configparser
 import logging
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from pairbag.data import generate_synthetic, save_manifest
@@ -179,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, configparser.Error, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -682,10 +682,6 @@ _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None
 def _worker_init(spec: ExperimentSpec, ctx: ExperimentContext) -> None:
     global _WORKER_CTX
     _WORKER_CTX = (spec, ctx)
-    # Sibling workers keep the other cores busy; more BLAS threads would
-    # only compete with them.
-    if not blas.set_threads(1):
-        log.info("pool worker %d: no OpenBLAS thread control found", os.getpid())
 
 
 def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:
@@ -700,29 +696,28 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
     The context is built once, in this process, and pool workers reuse it,
     so the extractor is pretrained once per sweep. Worker count only changes
     wall time: per-trial seeds are derived from the master seed, and results
-    are returned in canonical cell order.
+    are returned in canonical cell order. BLAS runs one thread throughout, so
+    the caller's thread count changes no byte; it is restored on return.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ctx = build_context(spec)
-    jobs = [
-        (arm, k, m, t, trial_seed_for(spec, arm, k, m, t))
-        for arm in spec.arms
-        for k in spec.k_shots
-        for m in spec.ensemble_sizes
-        for t in range(spec.trials)
-    ]
-    if workers == 1:
-        reports = [
-            run_trial(spec, arm, k, m, seed, trial_index=t, context=ctx)
-            for arm, k, m, t, seed in jobs
-        ]
-    else:
-        # A fork pool starts all of its workers at the first submit.
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs)), initializer=_worker_init, initargs=(spec, ctx)
-        ) as pool:
-            reports = list(pool.map(_worker_run, jobs))
+    with blas.one_thread() as pinned:
+        if not pinned:
+            log.info("no OpenBLAS thread control found")
+        ctx = build_context(spec)
+        trials = itertools.product(spec.arms, spec.k_shots, spec.ensemble_sizes, range(spec.trials))
+        jobs = [(*trial, trial_seed_for(spec, *trial)) for trial in trials]
+        if workers == 1:
+            reports = [
+                run_trial(spec, arm, k, m, seed, trial_index=t, context=ctx)
+                for arm, k, m, t, seed in jobs
+            ]
+        else:
+            # A fork pool starts all of its workers at the first submit.
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs)), initializer=_worker_init, initargs=(spec, ctx)
+            ) as pool:
+                reports = list(pool.map(_worker_run, jobs))
     reports.sort(key=lambda r: (r.arm, r.k, r.ensemble_size, r.trial_index))
     return reports
 

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from pairbag import cli, harness
+from pairbag import blas, cli, harness
 from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
 from pairbag.harness import CellSummary, error_rate_improvement, load_reports_jsonl
@@ -201,6 +201,24 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: cannot rename")
         assert (out / "results.jsonl").read_text() == "old"
         assert sorted(p.name for p in out.iterdir()) == ["results.jsonl"]
+
+
+def _die(job):
+    """A pool worker's job that kills its process."""
+    os._exit(3)
+
+
+class TestDeadWorker:
+    def test_dead_pool_worker_is_an_error_line(
+        self, tmp_path, tiny_config, capsys, monkeypatch, two_blas_threads
+    ):
+        monkeypatch.setattr(harness, "_worker_run", _die)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", tiny_config, "--out", str(out), "--workers", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a worker process died")
+        assert not out.exists()
+        assert blas.threads() == 2
 
 
 class TestManifestErrors:

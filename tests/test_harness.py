@@ -5,7 +5,7 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -475,27 +475,35 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_spec(), workers=0)
 
-    @pytest.mark.skipif(blas.threads() is None, reason="no OpenBLAS thread control")
-    def test_pool_worker_runs_one_blas_thread(self):
-        """A worker started as run_experiment starts them runs BLAS on one
-        thread, whatever its parent runs."""
-        before = blas.threads()
-        blas.set_threads(2)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=1, initializer=harness._worker_init, initargs=(None, None)
-            ) as pool:
-                assert pool.submit(blas.threads).result(timeout=60) == 1
-            assert blas.threads() == 2
-        finally:
-            blas.set_threads(before)
+    def test_restores_the_callers_blas_threads_when_it_raises(self, two_blas_threads):
+        with pytest.raises(ValueError, match="infeasible cell"):
+            run_experiment(tiny_spec(sizes=(30,)))
+        assert blas.threads() == 2
 
-    def test_pool_worker_without_thread_control_says_so(self, monkeypatch, caplog):
-        monkeypatch.setattr(harness, "_WORKER_CTX", None)
-        monkeypatch.setattr(blas, "set_threads", lambda count: False)
-        with caplog.at_level("INFO", logger="pairbag"):
-            harness._worker_init(None, None)
-        assert "no OpenBLAS thread control" in caplog.text
+    def test_context_and_pool_workers_run_one_blas_thread(self, two_blas_threads, monkeypatch):
+        """The caller runs two BLAS threads; the context build and every
+        forked worker's trials run one."""
+        seen = []
+        real_build = harness.build_context
+
+        def build(spec):
+            seen.append(blas.threads())
+            return real_build(spec)
+
+        def trial(spec, arm, k, m, seed, trial_index, context):
+            return make_report(trial_index, arm, k, m, float(blas.threads()))
+
+        monkeypatch.setattr(harness, "build_context", build)
+        monkeypatch.setattr(harness, "run_trial", trial)
+        reports = run_experiment(tiny_spec(trials=2, arms=("scratch",)), workers=2)
+        assert seen == [1] and [r.accuracy for r in reports] == [1.0] * 4
+        assert blas.threads() == 2
+
+    def test_without_thread_control_says_so(self, monkeypatch, caplog):
+        monkeypatch.setattr(blas, "_library", lambda: None)
+        with caplog.at_level("INFO", logger="pairbag"), pytest.raises(ValueError):
+            run_experiment(tiny_spec(sizes=(30,)))
+        assert "no OpenBLAS thread control found" in caplog.text
 
 
 class TestSummarize:
