@@ -11,7 +11,7 @@ RMS >= MAD always (power-mean inequality).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,28 +120,3 @@ def calibration_errors(
     # ties all gaps equal can round sqrt a ulp under mad
     rms = max(rms, mad)
     return CalibrationReport(rms_error=float(rms), mad_error=float(mad), bins=tuple(bins))
-
-
-@dataclass(frozen=True)
-class CalibrationAggregate:
-    """Sample mean and std of RMS and MAD errors over a set of reports."""
-
-    mean_rms: float
-    std_rms: float
-    mean_mad: float
-    std_mad: float
-
-
-def aggregate_calibration(reports: Iterable[CalibrationReport]) -> CalibrationAggregate:
-    """Mean and sample standard deviation of each metric across reports."""
-    reports = list(reports)
-    if len(reports) < 2:
-        raise ValueError(f"need at least 2 reports to aggregate, got {len(reports)}")
-    rms = np.array([r.rms_error for r in reports])
-    mad = np.array([r.mad_error for r in reports])
-    return CalibrationAggregate(
-        mean_rms=float(rms.mean()),
-        std_rms=float(rms.std(ddof=1)),
-        mean_mad=float(mad.mean()),
-        std_mad=float(mad.std(ddof=1)),
-    )

@@ -19,7 +19,7 @@ import json
 import logging
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,8 +27,8 @@ import numpy as np
 
 from pairbag import blas
 from pairbag.calibrate import (
+    DEFAULT_BIN_COUNT,
     CalibrationReport,
-    aggregate_calibration,
     calibration_errors,
     records_from_scores,
 )
@@ -373,76 +373,50 @@ def _cell_name(arm: str, k: int, ensemble_size: int) -> str:
 class SweepSummary:
     """Per-cell statistics over a full (arm, k, |M|) grid, plus its improvements.
 
-    The axes are the sorted arms (scratch before transfer), k values and
-    ensemble sizes of the cells. Every combination of them needs a cell, or
-    construction raises ValueError naming the first one missing. Cells keep
-    the order they are given in.
+    A plain record of what summarize computed: the cells in (arm, k, |M|)
+    order, the grid's sorted axes (scratch before transfer) and the
+    improvement rows over them.
     """
 
     cells: tuple[CellSummary, ...]
-    arms: tuple[str, ...] = field(init=False)
-    ks: tuple[int, ...] = field(init=False)
-    sizes: tuple[int, ...] = field(init=False)
-    improvements: tuple[ImprovementRow, ...] = field(init=False)
-    _by_key: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        if not cells:
-            raise ValueError("a sweep summary needs at least one cell")
-        by_key = {(c.arm, c.k, c.ensemble_size): c for c in cells}
-        axes = [tuple(sorted(set(axis))) for axis in zip(*by_key)]
-        for key in itertools.product(*axes):
-            if key not in by_key:
-                raise ValueError(f"incomplete grid: no cell {_cell_name(*key)}")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_by_key", by_key)
-        for name, axis in zip(("arms", "ks", "sizes"), axes):
-            object.__setattr__(self, name, axis)
-        object.__setattr__(self, "improvements", self._improvement_rows())
+    arms: tuple[str, ...]
+    ks: tuple[int, ...]
+    sizes: tuple[int, ...]
+    improvements: tuple[ImprovementRow, ...]
 
     def cell(self, arm: str, k: int, ensemble_size: int) -> CellSummary:
-        try:
-            return self._by_key[(arm, k, ensemble_size)]
-        except KeyError:
-            raise KeyError(f"no cell {_cell_name(arm, k, ensemble_size)}") from None
+        for c in self.cells:
+            if (c.arm, c.k, c.ensemble_size) == (arm, k, ensemble_size):
+                return c
+        raise KeyError(f"no cell {_cell_name(arm, k, ensemble_size)}")
 
-    def _improvement_rows(self) -> tuple[ImprovementRow, ...]:
-        """Ensemble-gain and transfer-gain rows over the grid.
 
-        Ensemble rows compare the smallest and largest |M| per arm and k;
-        transfer rows compare scratch with transfer per k and |M|. A baseline
-        cell with zero error gives no row.
-        """
-        small, large = self.sizes[0], self.sizes[-1]
-        pairs = []  # (kind, arm, k, baseline cell key, compared cell key)
-        if small != large:
-            pairs += [
-                ("ensemble", arm, k, (arm, k, small), (arm, k, large))
-                for arm in self.arms
-                for k in self.ks
-            ]
-        if "scratch" in self.arms and "transfer" in self.arms:
-            pairs += [
-                ("transfer", "transfer", k, ("scratch", k, m), ("transfer", k, m))
-                for k in self.ks
-                for m in self.sizes
-            ]
-        rows = []
-        for kind, arm, k, old, new in pairs:
-            base = self._by_key[old].mean_error
-            if base > 0.0:
-                rows.append(
-                    ImprovementRow(
-                        kind=kind,
-                        arm=arm,
-                        k=k,
-                        from_size=old[2],
-                        to_size=new[2],
-                        improvement=error_rate_improvement(self._by_key[new].mean_error, base),
-                    )
-                )
-        return tuple(rows)
+def _improvement_rows(by_key: dict, arms, ks, sizes) -> tuple[ImprovementRow, ...]:
+    """Ensemble-gain and transfer-gain rows over the grid of cells by_key.
+
+    Ensemble rows compare the smallest and largest |M| per arm and k;
+    transfer rows compare scratch with transfer per k and |M|. A baseline
+    cell with zero error gives no row.
+    """
+    small, large = sizes[0], sizes[-1]
+    pairs = []  # (kind, arm, k, baseline cell key, compared cell key)
+    if small != large:
+        pairs += [
+            ("ensemble", arm, k, (arm, k, small), (arm, k, large)) for arm in arms for k in ks
+        ]
+    if "scratch" in arms and "transfer" in arms:
+        pairs += [
+            ("transfer", "transfer", k, ("scratch", k, m), ("transfer", k, m))
+            for k in ks
+            for m in sizes
+        ]
+    rows = []
+    for kind, arm, k, old, new in pairs:
+        base = by_key[old].mean_error
+        if base > 0.0:
+            improvement = error_rate_improvement(by_key[new].mean_error, base)
+            rows.append(ImprovementRow(kind, arm, k, old[2], new[2], improvement))
+    return tuple(rows)
 
 
 def error_rate_improvement(e_new: float, e_old: float) -> float:
@@ -516,7 +490,8 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     """Materialize the dataset, the holdout split, and the frozen extractor.
 
     Raises ValueError before pretraining if some grid cell cannot fit its
-    ensemble in the train split.
+    ensemble in the train split, or if the test split holds fewer rows than
+    a member's calibration has bins.
     """
     if isinstance(spec.source, SyntheticSpec):
         dataset = generate_synthetic(spec.source)
@@ -527,6 +502,11 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
     _check_feasible(train, spec.k_shots, spec.ensemble_sizes)
+    if len(test) < DEFAULT_BIN_COUNT:
+        raise ValueError(
+            f"the test split holds {len(test)} rows, fewer than the {DEFAULT_BIN_COUNT} "
+            "calibration bins: raise test_fraction, n_pos or n_neg"
+        )
     pretrained = features = None
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
@@ -722,11 +702,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[TrialReport]:
     return reports
 
 
-def summarize(reports: list[TrialReport]) -> SweepSummary:
-    """Cell statistics over the (arm, k, |M|) grid the reports span.
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1) of values."""
+    values = np.array(values)
+    return float(values.mean()), float(values.std(ddof=1))
 
-    A cell with fewer than 2 reports is an error, and so are a grid cell
-    with none (see SweepSummary) and two reports of one trial of a cell.
+
+def summarize(reports: list[TrialReport]) -> SweepSummary:
+    """Cell statistics, grid axes and improvement rows of the reports.
+
+    Each cell holds the sample mean and std of its trials' accuracies and of
+    its members' RMS and MAD calibration errors. A cell with fewer than 2
+    reports is an error, and so are two reports of one trial of a cell and
+    a grid with no cell for some combination of its sorted arms, k values
+    and ensemble sizes; that error names the first missing cell.
     """
     if not reports:
         raise ValueError("no trial reports to summarize")
@@ -739,29 +728,25 @@ def summarize(reports: list[TrialReport]) -> SweepSummary:
                 f"{_cell_name(r.arm, r.k, r.ensemble_size)}"
             )
         trials[r.trial_index] = r
-    cells = []
+    by_key = {}
     for (arm, k, m), trials in sorted(grouped.items()):
         group = list(trials.values())
         if len(group) < 2:
             raise ValueError(
                 f"cell {_cell_name(arm, k, m)} has {len(group)} reports, need >= 2"
             )
-        acc = np.array([r.accuracy for r in group])
-        cal = aggregate_calibration(c for r in group for c in r.calibrations)
-        cells.append(
-            CellSummary(
-                arm=arm,
-                k=k,
-                ensemble_size=m,
-                mean_acc=float(acc.mean()),
-                std_acc=float(acc.std(ddof=1)),
-                mean_rms_cal=cal.mean_rms,
-                std_rms_cal=cal.std_rms,
-                mean_mad_cal=cal.mean_mad,
-                std_mad_cal=cal.std_mad,
-            )
+        cals = [c for r in group for c in r.calibrations]
+        by_key[arm, k, m] = CellSummary(
+            arm, k, m,
+            *_mean_std([r.accuracy for r in group]),
+            *_mean_std([c.rms_error for c in cals]),
+            *_mean_std([c.mad_error for c in cals]),
         )
-    return SweepSummary(cells=tuple(cells))
+    axes = [tuple(sorted(set(axis))) for axis in zip(*by_key)]
+    for key in itertools.product(*axes):
+        if key not in by_key:
+            raise ValueError(f"incomplete grid: no cell {_cell_name(*key)}")
+    return SweepSummary(tuple(by_key.values()), *axes, _improvement_rows(by_key, *axes))
 
 
 # --- results files -----------------------------------------------------------
@@ -822,10 +807,6 @@ def load_reports_jsonl(path: str | Path) -> list[TrialReport]:
     return reports
 
 
-def summary_csv(summary: SweepSummary) -> str:
-    """CSV rendering of the cell table, one column per CellSummary field."""
-    return rows_csv(CellSummary, summary.cells)
-
-
 def write_summary_csv(summary: SweepSummary, path: str | Path) -> None:
-    write_atomic(path, summary_csv(summary))
+    """The cell table as CSV, one column per CellSummary field, written atomically."""
+    write_atomic(path, rows_csv(CellSummary, summary.cells))

@@ -10,7 +10,6 @@ from pairbag.calibrate import (
     DEFAULT_BIN_COUNT,
     CalibrationReport,
     PredictionRecord,
-    aggregate_calibration,
     calibration_errors,
     records_from_scores,
 )
@@ -197,38 +196,3 @@ class TestCalibrationReport:
         assert back.rms_error == report.rms_error
         assert back.mad_error == report.mad_error
         assert back.bins == report.bins
-
-
-class TestAggregateCalibration:
-    def make_report(self, rms, mad):
-        return CalibrationReport(rms_error=rms, mad_error=mad, bins=((1, 0.9, 0.9),))
-
-    def test_identical_reports_have_zero_std(self):
-        agg = aggregate_calibration([self.make_report(10.0, 8.0)] * 2)
-        assert agg.mean_rms == 10.0 and agg.std_rms == 0.0
-        assert agg.mean_mad == 8.0 and agg.std_mad == 0.0
-
-    def test_known_sample_statistics(self):
-        """Values 1, 2, 3 give mean 2 and sample std exactly 1."""
-        reports = [self.make_report(float(v), 0.0) for v in (1, 2, 3)]
-        agg = aggregate_calibration(reports)
-        assert agg.mean_rms == 2.0
-        assert agg.std_rms == 1.0
-
-    def test_matches_two_pass_oracle(self):
-        """Aggregate equals a spreadsheet-style two-pass mean/std to 1e-10."""
-        rng = np.random.default_rng(31)
-        reports = []
-        for _ in range(200):
-            mad = float(rng.uniform(0, 40))
-            reports.append(self.make_report(mad + float(rng.uniform(0, 10)), mad))
-        agg = aggregate_calibration(reports)
-        rms_vals = [r.rms_error for r in reports]
-        mean = sum(rms_vals) / len(rms_vals)
-        var = sum((v - mean) ** 2 for v in rms_vals) / (len(rms_vals) - 1)
-        assert agg.mean_rms == pytest.approx(mean, abs=1e-10)
-        assert agg.std_rms == pytest.approx(var**0.5, abs=1e-10)
-
-    def test_rejects_fewer_than_two(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            aggregate_calibration([self.make_report(1.0, 1.0)])

@@ -186,6 +186,25 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: bad budget scratch_3 = -1")
         assert not out.exists()
 
+    def test_test_split_below_bin_count_errors_before_any_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for an 11-row test split")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        path = tmp_path / "small.ini"
+        path.write_text(
+            TINY_INI.replace("n_pos = 12", "n_pos = 6").replace("n_neg = 60", "n_neg = 30")
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the test split holds 11 rows, fewer than the 15 calibration bins: "
+            "raise test_fraction, n_pos or n_neg\n"
+        )
+        assert not out.exists()
+
     def test_failed_write_keeps_old_file_and_leaves_no_temp(
         self, tmp_path, tiny_config, capsys, monkeypatch
     ):

@@ -29,7 +29,6 @@ from pairbag.harness import (
     run_trial,
     split_indices,
     summarize,
-    summary_csv,
     trial_seed_for,
     write_reports_jsonl,
 )
@@ -527,6 +526,47 @@ class TestSummarize:
         assert cell.mean_acc == pytest.approx(mean, abs=1e-10)
         assert cell.std_acc == pytest.approx(var**0.5, abs=1e-10)
 
+    def calibrated_reports(self, rms_mad_pairs):
+        """One scratch k=2 |M|=1 report per (rms, mad) pair, trial by trial."""
+        return [
+            dataclasses.replace(
+                make_report(t, "scratch", 2, 1, 80.0),
+                calibrations=(CalibrationReport(rms, mad, ((15, 0.9, 0.9),)),),
+            )
+            for t, (rms, mad) in enumerate(rms_mad_pairs)
+        ]
+
+    def test_identical_calibrations_have_zero_std(self):
+        cell = summarize(self.calibrated_reports([(10.0, 8.0)] * 2)).cell("scratch", 2, 1)
+        assert cell.mean_rms_cal == 10.0 and cell.std_rms_cal == 0.0
+        assert cell.mean_mad_cal == 8.0 and cell.std_mad_cal == 0.0
+
+    def test_known_calibration_statistics(self):
+        """RMS errors 1, 2, 3 give mean 2 and sample std exactly 1."""
+        cell = summarize(self.calibrated_reports([(float(v), 0.0) for v in (1, 2, 3)])).cells[0]
+        assert cell.mean_rms_cal == 2.0 and cell.std_rms_cal == 1.0
+        assert cell.mean_mad_cal == 0.0 and cell.std_mad_cal == 0.0
+
+    def test_calibration_statistics_match_two_pass_oracle(self):
+        """Each member's errors count once; a two-pass mean/std agrees to 1e-10."""
+        rng = np.random.default_rng(31)
+        pairs = []
+        for _ in range(200):
+            mad = float(rng.uniform(0, 40))
+            pairs.append((mad + float(rng.uniform(0, 10)), mad))
+        cell = summarize(self.calibrated_reports(pairs)).cells[0]
+        for column, values in zip(("rms_cal", "mad_cal"), zip(*pairs)):
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            assert getattr(cell, f"mean_{column}") == pytest.approx(mean, abs=1e-10)
+            assert getattr(cell, f"std_{column}") == pytest.approx(var**0.5, abs=1e-10)
+
+    def test_single_report_with_many_members_is_an_error(self):
+        """Three members' calibration errors are still one trial's."""
+        report = make_report(0, "scratch", 2, 3, 80.0)
+        with pytest.raises(ValueError, match="has 1 reports, need >= 2"):
+            summarize([report])
+
     def test_improvement_rows_match_cell_errors(self):
         reports = []
         for t in range(2):
@@ -614,7 +654,7 @@ class TestResultsFiles:
         for t in range(2):
             for m in (1, 2):
                 reports.append(make_report(t, "scratch", 2, m, 80.0 + t))
-        text = summary_csv(summarize(reports))
+        text = rows_csv(CellSummary, summarize(reports).cells)
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(f.name for f in dataclasses.fields(CellSummary))
         assert len(lines) == 1 + 2  # one row per (arm, k, size) cell
@@ -638,6 +678,6 @@ class TestResultsFiles:
     def test_summary_csv_floats_round_trip(self):
         reports = [make_report(t, "scratch", 2, 1, 80.0 + 1e-9 * t) for t in range(3)]
         summary = summarize(reports)
-        line = summary_csv(summary).strip().splitlines()[1]
+        line = rows_csv(CellSummary, summary.cells).strip().splitlines()[1]
         mean_acc = float(line.split(",")[3])
         assert mean_acc == summary.cells[0].mean_acc
