@@ -182,6 +182,8 @@ def _read_vector(path: Path, row: int) -> np.ndarray:
     if len(blob) < 4:
         raise ManifestError(f"manifest row {row}: vector file too short: {path}")
     (d,) = struct.unpack("<I", blob[:4])
+    if d == 0:
+        raise ManifestError(f"manifest row {row}: vector file {path} holds no features")
     expected = 4 + 4 * d
     if len(blob) != expected:
         raise ManifestError(

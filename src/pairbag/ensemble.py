@@ -17,7 +17,6 @@ from pairbag.data import KShotDraw, PairDataset
 from pairbag.learner import (
     ARMS,
     BaseModel,
-    PretrainedExtractor,
     SiameseTopology,
     TrainingError,
     fine_tune,
@@ -62,7 +61,7 @@ def train_ensemble(
     config: TrainConfig,
     topology: SiameseTopology,
     mode: str = "scratch",
-    pretrained: PretrainedExtractor | None = None,
+    pretrained: BaseModel | None = None,
     on_member: Callable[[BaseModel], object] | None = None,
 ) -> Ensemble:
     """Train one base model per assigned chunk and bundle them.

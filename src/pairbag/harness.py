@@ -38,11 +38,10 @@ from pairbag.data import (
 from pairbag.ensemble import member_scores, train_ensemble
 from pairbag.learner import (
     ARMS,
-    PretrainedExtractor,
+    BaseModel,
     SiameseTopology,
     TrainingError,
     head_input,
-    init_transfer,
     pretrain_extractor,
 )
 from pairbag.optimize import TrainConfig
@@ -459,13 +458,13 @@ def split_indices(
 
 @dataclass(frozen=True, eq=False)
 class ExperimentContext:
-    """Holdout split, pretrained extractor and test head input shared by every trial."""
+    """Holdout split, pretrained source model and its test head input, shared by every trial."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
     train: PairDataset
     test: PairDataset
-    pretrained: PretrainedExtractor | None
+    pretrained: BaseModel | None
     test_features: np.ndarray | None
 
 
@@ -487,7 +486,8 @@ def _check_feasible(train: PairDataset, k_shots, ensemble_sizes) -> None:
 
 
 def build_context(spec: ExperimentSpec) -> ExperimentContext:
-    """Materialize the dataset, the holdout split, and the frozen extractor.
+    """Materialize the dataset, the holdout split, the pretrained model and
+    its head input of the test split.
 
     Raises ValueError before pretraining if some grid cell cannot fit its
     ensemble in the train split, or if the test split holds fewer rows than
@@ -510,9 +510,7 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     pretrained = features = None
     if "transfer" in spec.arms:
         pretrained = _pretrain(spec, dataset.dim)
-        # Any head will do: the head input depends on the extractor alone.
-        model = init_transfer(spec.topology(dataset.dim), pretrained, 0)
-        features = head_input(model, test.pre, test.post)
+        features = head_input(pretrained, test.pre, test.post)
         features.setflags(write=False)
     return ExperimentContext(
         train_idx=train_idx,
@@ -524,8 +522,8 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     )
 
 
-def _pretrain(spec: ExperimentSpec, input_dim: int) -> PretrainedExtractor:
-    """Train the extractor on an auxiliary balanced source mixture, then freeze.
+def _pretrain(spec: ExperimentSpec, input_dim: int) -> BaseModel:
+    """The model trained on an auxiliary balanced source mixture.
 
     The source task pools several synthetic tasks with their own seeds, so
     their change directions all differ from the target task's; the extractor

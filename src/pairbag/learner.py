@@ -14,7 +14,6 @@ large-corpus pretraining.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -110,24 +109,6 @@ class BaseModel:
     @property
     def head_weights(self) -> np.ndarray:
         return self.weights[self.topology.extractor_param_count :]
-
-
-@dataclass(frozen=True, eq=False)
-class PretrainedExtractor:
-    """Extractor weights trained on a source task, frozen thereafter."""
-
-    extractor_sizes: tuple[int, ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.extractor_sizes)
-        expected = _param_count(zip(sizes[1:], sizes[:-1]))
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.shape != (expected,):
-            raise ValueError(f"extractor weights have {w.size} entries, expected {expected}")
-        w.setflags(write=False)
-        object.__setattr__(self, "extractor_sizes", sizes)
-        object.__setattr__(self, "weights", w)
 
 
 def _unpack(weights: np.ndarray, shapes: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -478,20 +459,18 @@ def init_scratch(topology: SiameseTopology, seed: int) -> BaseModel:
     return BaseModel(topology=topology, weights=weights, init_mode="scratch")
 
 
-def init_transfer(
-    topology: SiameseTopology, pretrained: PretrainedExtractor, seed: int
-) -> BaseModel:
-    """Model whose extractor is the frozen pretrained one; head is fresh.
+def init_transfer(topology: SiameseTopology, pretrained: BaseModel, seed: int) -> BaseModel:
+    """Model whose extractor is the pretrained model's, frozen; head is fresh.
 
     Head weights use the same fan-in scheme as init_scratch, drawn from
     `seed`. fine_tune will leave the extractor slice bitwise untouched.
     """
-    if pretrained.extractor_sizes != topology.extractor_sizes:
+    sizes = pretrained.topology.extractor_sizes
+    if sizes != topology.extractor_sizes:
         raise ValueError(
-            f"pretrained extractor sizes {pretrained.extractor_sizes} do not match "
-            f"topology {topology.extractor_sizes}"
+            f"pretrained extractor sizes {sizes} do not match topology {topology.extractor_sizes}"
         )
-    weights = _init_weights(topology, seed, extractor=pretrained.weights)
+    weights = _init_weights(topology, seed, extractor=pretrained.extractor_weights)
     return BaseModel(topology=topology, weights=weights, init_mode="transfer")
 
 
@@ -544,31 +523,23 @@ def fine_tune(
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def pretrain_extractor(
     source: PairDataset, topology: SiameseTopology, budget: int, seed: int
-) -> PretrainedExtractor:
-    """Train a scratch model on every source row for `budget` steps, then
-    freeze its extractor.
+) -> BaseModel:
+    """The scratch model trained on every source row for `budget` steps;
+    init_transfer freezes its extractor.
 
     The source dataset must be disjoint from any evaluation data; with
-    budget 0 the extractor equals its scratch initialization. When BLAS runs
-    one thread and a second CPU is usable, each step's post branch runs on a
-    second thread; with more BLAS threads the gemms already use the cores.
+    budget 0 the model equals its scratch initialization. BLAS runs one
+    thread and each step's post branch a second thread, whatever the
+    caller's BLAS thread count, which is restored on return. Where OpenBLAS
+    cannot be pinned, training runs on the calling thread alone.
     """
     config = TrainConfig(iterations=budget)
-    threaded = blas.threads() == 1 and _usable_cpus() >= 2
-    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as executor:
-        trained, _ = fine_tune(
-            init_scratch(topology, seed), np.arange(len(source)), source, config,
-            executor=executor,
-        )
-    return PretrainedExtractor(
-        extractor_sizes=topology.extractor_sizes,
-        weights=trained.extractor_weights.copy(),
-    )
+    with blas.one_thread() as pinned:
+        with ThreadPoolExecutor(max_workers=1) if pinned else nullcontext() as executor:
+            trained, _ = fine_tune(
+                init_scratch(topology, seed), np.arange(len(source)), source, config,
+                executor=executor,
+            )
+    return trained

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 
 import pytest
 
@@ -271,6 +272,18 @@ class TestManifestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: manifest row 73: pair repeats row 1")
+
+
+    def test_zero_length_vector_names_row(self, tmp_path, tiny_config, capsys):
+        def empty_vector(blob):
+            (tmp_path / "data" / "pair000002_post.vec").write_bytes(struct.pack("<I", 0))
+            return blob
+
+        code, _ = self.sweep_on(tmp_path, tiny_config, empty_vector)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: manifest row 3: vector file ")
+        assert err[0].endswith("pair000002_post.vec holds no features")
 
 
 class TestReport:

@@ -1,5 +1,8 @@
 """Tests for pair datasets: construction, synthesis, k-shot draws, manifests."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,16 @@ class TestManifest:
         vec = tmp_path / "pair000000_pre.vec"
         vec.write_bytes(vec.read_bytes()[:-2])
         with pytest.raises(ManifestError, match="row 1"):
+            load_manifest(manifest)
+
+    def test_zero_length_vector_names_row(self, tmp_path):
+        """A file of d = 0 floats fails its row, also where every row agrees on d."""
+        vec = tmp_path / "empty.vec"
+        vec.write_bytes(struct.pack("<I", 0))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"pre_path,post_path,label\n{vec.name},{vec.name},0\n")
+        want = f"manifest row 1: vector file {vec} holds no features"
+        with pytest.raises(ManifestError, match=re.escape(want)):
             load_manifest(manifest)
 
     def test_non_finite_vector_names_row(self, tmp_path):

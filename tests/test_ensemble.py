@@ -11,7 +11,6 @@ from pairbag.ensemble import (
     train_ensemble,
 )
 from pairbag.learner import (
-    PretrainedExtractor,
     SiameseTopology,
     forward,
     head_input,
@@ -166,9 +165,7 @@ class TestPrediction:
         computed here or passed in, with or without a hidden-activation
         buffer; the bytes equal a per-member forward pass."""
         t = small_topology()
-        pretrained = PretrainedExtractor(
-            t.extractor_sizes, init_scratch(t, 3).extractor_weights.copy()
-        )
+        pretrained = init_scratch(t, 3)
         models = tuple(init_transfer(t, pretrained, seed) for seed in range(5))
         ens = Ensemble(
             models=models,

@@ -20,7 +20,7 @@ CHILD = """
 import dataclasses, hashlib
 from pairbag import harness
 spec = dataclasses.replace(harness.default_benchmark(trials=2), pretrain_budget=5)
-print(hashlib.sha256(harness._pretrain(spec, 16).weights.tobytes()).hexdigest())
+print(hashlib.sha256(harness._pretrain(spec, 16).extractor_weights.tobytes()).hexdigest())
 """
 
 

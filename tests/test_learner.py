@@ -11,7 +11,6 @@ from pairbag import blas
 from pairbag.data import SyntheticSpec, generate_synthetic
 from pairbag.learner import (
     BaseModel,
-    PretrainedExtractor,
     SiameseTopology,
     TrainingError,
     Workspace,
@@ -260,16 +259,15 @@ class TestInitScratch:
 
 class TestInitTransfer:
     def make_pretrained(self, sizes=(5, 8, 4), seed=2):
+        """The target topology and a pretrained model whose head is wider."""
         t = SiameseTopology(extractor_sizes=sizes, head_hidden=6)
-        base = init_scratch(t, seed)
-        return t, PretrainedExtractor(
-            extractor_sizes=sizes, weights=base.extractor_weights.copy()
-        )
+        return t, init_scratch(SiameseTopology(extractor_sizes=sizes, head_hidden=9), seed)
 
     def test_copies_extractor_bitwise(self):
         t, pretrained = self.make_pretrained()
         model = init_transfer(t, pretrained, 99)
-        np.testing.assert_array_equal(model.extractor_weights, pretrained.weights)
+        np.testing.assert_array_equal(model.extractor_weights, pretrained.extractor_weights)
+        assert model.topology == t
         assert model.init_mode == "transfer"
 
     def test_head_is_fresh_and_seeded(self):
@@ -337,14 +335,10 @@ class TestFineTune:
     def test_transfer_mode_freezes_extractor_bitwise(self):
         ds = separable_dataset()
         t = self.small_topology()
-        base = init_scratch(t, 11)
-        pretrained = PretrainedExtractor(
-            extractor_sizes=t.extractor_sizes,
-            weights=base.extractor_weights.copy(),
-        )
+        pretrained = init_scratch(t, 11)
         model = init_transfer(t, pretrained, 12)
         trained, _ = fine_tune(model, np.arange(len(ds)), ds, TrainConfig(iterations=50))
-        np.testing.assert_array_equal(trained.extractor_weights, pretrained.weights)
+        np.testing.assert_array_equal(trained.extractor_weights, pretrained.extractor_weights)
         assert not np.array_equal(trained.head_weights, model.head_weights)
 
     def test_transfer_mode_matches_full_vector_training_bytewise(self):
@@ -352,9 +346,7 @@ class TestFineTune:
         that zeroes the extractor gradient before each Adam step."""
         ds = separable_dataset()
         t = self.small_topology()
-        pretrained = PretrainedExtractor(
-            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy()
-        )
+        pretrained = init_scratch(t, 11)
         model = init_transfer(t, pretrained, 12)
         cfg = TrainConfig(iterations=30, learning_rate=0.01)
         targets = smooth_target(ds.labels, cfg.alpha)
@@ -380,9 +372,7 @@ class TestFineTune:
 
     def transfer_model(self):
         t = self.small_topology()
-        pretrained = PretrainedExtractor(
-            t.extractor_sizes, init_scratch(t, 11).extractor_weights.copy()
-        )
+        pretrained = init_scratch(t, 11)
         return init_transfer(t, pretrained, 12)
 
     def test_input_model_is_unchanged(self):
@@ -447,9 +437,7 @@ class TestHeadLossAndGradient:
         rng = np.random.default_rng(31)
         for _ in range(10):
             t = random_topology(rng)
-            pretrained = PretrainedExtractor(
-                t.extractor_sizes, init_scratch(t, 1).extractor_weights.copy()
-            )
+            pretrained = init_scratch(t, 1)
             model = init_transfer(t, pretrained, int(rng.integers(1 << 30)))
             n = int(rng.integers(1, 12))
             pre = rng.standard_normal((n, t.input_dim))
@@ -589,54 +577,62 @@ class TestBranchThread:
                 )
                 assert got_loss == want_loss and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "threads, cpus, threaded",
-        [(1, 2, True), (1, 8, True), (2, 2, False), (1, 1, False), (None, 2, False)],
-    )
-    def test_pretraining_threads_only_at_one_blas_thread_and_two_cpus(
-        self, monkeypatch, threads, cpus, threaded
-    ):
-        source = separable_dataset(n_pos=10, n_neg=10, seed=4)
-        t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
-        executors = []
+    @staticmethod
+    def pretrain_spied(monkeypatch):
+        """pretrain_extractor on a 1,000-pair source at benchmark widths, the
+        executor and BLAS thread count its fine_tune call saw; its bytes must
+        equal those of a serial fine_tune inside blas.one_thread()."""
+        source = separable_dataset(n_pos=500, n_neg=500, d=16, seed=4)
+        t = SiameseTopology(extractor_sizes=(16, 128, 64), head_hidden=128)
+        seen = []
         real = learner.fine_tune
 
         def spy(*args, executor=None):
-            executors.append(executor)
+            seen.append((executor, blas.threads()))
             return real(*args, executor=executor)
 
-        monkeypatch.setattr(blas, "threads", lambda: threads)
-        monkeypatch.setattr(learner, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(learner, "fine_tune", spy)
-        ext = pretrain_extractor(source, t, 3, 21)
-        assert isinstance(executors[0], ThreadPoolExecutor) == threaded
-        assert executors[0] is None or executors[0]._shutdown
-        model, _ = real(init_scratch(t, 21), np.arange(len(source)), source, TrainConfig(iterations=3))
-        assert ext.weights.tobytes() == model.extractor_weights.tobytes()
+        pretrained = pretrain_extractor(source, t, 3, 21)
+        with blas.one_thread():
+            want, _ = real(init_scratch(t, 21), np.arange(len(source)), source,
+                           TrainConfig(iterations=3))
+        assert pretrained.weights.tobytes() == want.weights.tobytes()
+        return seen
+
+    def test_pretraining_runs_one_blas_thread_and_a_branch_thread(
+        self, monkeypatch, two_blas_threads
+    ):
+        """A direct call at 2 BLAS threads trains at 1, with the post branch
+        on a second thread, and leaves the caller's count at 2."""
+        [(executor, threads)] = self.pretrain_spied(monkeypatch)
+        assert isinstance(executor, ThreadPoolExecutor) and executor._shutdown
+        assert threads == 1 and blas.threads() == 2
+
+    def test_pretraining_without_blas_control_opens_no_executor(self, monkeypatch):
+        monkeypatch.setattr(blas, "_library", lambda: None)
+        [(executor, _)] = self.pretrain_spied(monkeypatch)
+        assert executor is None
 
 
 class TestPretraining:
     def test_budget_zero_equals_scratch_init(self):
         source = separable_dataset(n_pos=10, n_neg=10, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
-        ext = pretrain_extractor(source, t, 0, 21)
-        np.testing.assert_array_equal(ext.weights, init_scratch(t, 21).extractor_weights)
+        pretrained = pretrain_extractor(source, t, 0, 21)
+        np.testing.assert_array_equal(pretrained.weights, init_scratch(t, 21).weights)
+        assert pretrained.init_mode == "scratch"
 
     def test_training_reduces_source_loss(self):
-        """The frozen extractor is that of a scratch model fine-tuned on every
-        source row, and that model fits the source task."""
+        """The pretrained model is a scratch model fine-tuned on every source
+        row, and it fits the source task."""
         source = separable_dataset(n_pos=20, n_neg=20, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
         init = init_scratch(t, 21)
         model, _ = fine_tune(init, np.arange(len(source)), source, TrainConfig(iterations=150))
-        ext = pretrain_extractor(source, t, 150, 21)
-        np.testing.assert_array_equal(ext.weights, model.extractor_weights)
+        pretrained = pretrain_extractor(source, t, 150, 21)
+        np.testing.assert_array_equal(pretrained.weights, model.weights)
         labels = source.labels
-        trained_acc = np.mean((forward(model, source.pre, source.post) >= 0.5) == labels)
+        trained_acc = np.mean((forward(pretrained, source.pre, source.post) >= 0.5) == labels)
         init_acc = np.mean((forward(init, source.pre, source.post) >= 0.5) == labels)
         assert trained_acc >= init_acc
         assert trained_acc >= 0.9
-
-    def test_extractor_size_validation(self):
-        with pytest.raises(ValueError, match="expected"):
-            PretrainedExtractor(extractor_sizes=(4, 8, 4), weights=np.zeros(3))
