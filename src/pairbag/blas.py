@@ -1,10 +1,11 @@
 """The thread count of the OpenBLAS library that numpy loaded, read or pinned.
 
-numpy's wheels bundle OpenBLAS with `scipy_` prefixed, `64_` suffixed
-symbols. Its thread-count functions are not numpy API, so they are looked up
-with ctypes in the library this process already has mapped. Where no such
-library is loaded (another BLAS, or a system without /proc), `threads`
-returns None and `one_thread` changes nothing and yields False.
+OpenBLAS's thread-count functions are not numpy API, so they are looked up
+with ctypes in the library this process already has mapped, under the names
+numpy's wheels give them: `scipy_openblas_*64_` (numpy 2.x), `openblas_*64_`
+(numpy 1.x) and plain `openblas_*`. Where no such library is loaded (another
+BLAS, or a system without /proc), `threads` returns None and `one_thread`
+changes nothing and yields False.
 """
 
 from __future__ import annotations
@@ -12,17 +13,22 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy  # noqa: F401  (loads the BLAS library that _library looks for)
 
-_GET = "scipy_openblas_get_num_threads64_"
-_SET = "scipy_openblas_set_num_threads64_"
+# (get, set) thread-count function names, in the order they are looked up.
+_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @functools.cache
-def _library() -> ctypes.CDLL | None:
-    """The mapped OpenBLAS library that exports both thread functions, or None."""
+def _library() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the mapped OpenBLAS library:
+    the first pair of _NAMES that one library exports both of, or None."""
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
@@ -34,17 +40,19 @@ def _library() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if hasattr(lib, _GET) and hasattr(lib, _SET):
-            getattr(lib, _GET).argtypes, getattr(lib, _GET).restype = [], ctypes.c_int
-            getattr(lib, _SET).argtypes, getattr(lib, _SET).restype = [ctypes.c_int], None
-            return lib
+        for get_name, set_name in _NAMES:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
 def threads() -> int | None:
     """The number of threads OpenBLAS runs a call on, or None if unknown."""
     lib = _library()
-    return None if lib is None else getattr(lib, _GET)()
+    return None if lib is None else lib[0]()
 
 
 @contextlib.contextmanager
@@ -54,6 +62,7 @@ def one_thread() -> Iterator[bool]:
     lib = _library()
     with contextlib.ExitStack() as restore:
         if lib is not None:
-            restore.callback(getattr(lib, _SET), getattr(lib, _GET)())
-            getattr(lib, _SET)(1)
+            get, set_ = lib
+            restore.callback(set_, get())
+            set_(1)
         yield lib is not None

@@ -41,6 +41,7 @@ from pairbag.learner import (
     BaseModel,
     SiameseTopology,
     TrainingError,
+    _run_now,
     head_input,
     pretrain_extractor,
 )
@@ -146,10 +147,9 @@ class ExperimentSpec:
         return SiameseTopology(extractor_sizes=sizes, head_hidden=self.head_hidden)
 
     def iteration_budget(self, arm: str, k: int) -> int:
-        """Budget for the nearest tabulated k on this arm (ties: smaller k)."""
+        """Budget for the nearest tabulated k on `arm`, one of the spec's arms
+        (ties: smaller k)."""
         rows = [(bk, b) for a, bk, b in self.budgets if a == arm]
-        if not rows:
-            raise ValueError(f"no iteration budgets for arm {arm!r}")
         return min(rows, key=lambda r: (abs(r[0] - k), r[0]))[1]
 
 
@@ -580,13 +580,14 @@ def run_trial(
     Draw, plan, assignment, and training seeds all derive from trial_seed.
     A thread scores each member while the next trains, unless no training
     can overlap it (|M| = 1) or this is a pool worker, whose siblings keep
-    the other cores busy. Raises before any training if m chunks of size k
-    do not fit in the train-split negatives, LeakageError if any base-model
-    training row maps into the test set, and TrainingError naming the cell,
-    the trial and the member if training diverges.
+    the other cores busy. Raises before any draw if the spec does not run
+    `arm`, before any training if m chunks of size k do not fit in the
+    train-split negatives, LeakageError if any base-model training row maps
+    into the test set, and TrainingError naming the cell, the trial and the
+    member if training diverges.
     """
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}")
+    if arm not in spec.arms:
+        raise ValueError(f"unknown arm {arm!r}: the spec runs {spec.arms}")
     _check_feasible(context.train, (k,), (m,))
     draw = draw_k_shot(context.train, k, derive_seed(trial_seed, DRAW_STREAM))
     plan = make_chunk_plan(context.train, k, derive_seed(trial_seed, PLAN_STREAM))
@@ -645,13 +646,6 @@ def run_trial(
 def _overlap_count(rows: np.ndarray, test_idx: np.ndarray) -> int:
     """np.intersect1d(rows, test_idx).size without sorting test_idx."""
     return int(np.unique(rows[np.isin(rows, test_idx)]).size)
-
-
-def _run_now(fn, *args) -> Future:
-    """fn(*args) run here and now, as a finished Future."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
 
 
 _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None

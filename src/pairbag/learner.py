@@ -14,10 +14,8 @@ large-corpus pretraining.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -209,38 +207,28 @@ class Workspace:
     batches of n pairs under one topology, allocated once per training run.
 
     A call given a workspace writes into these buffers and returns `grad`,
-    so the next call with the same workspace overwrites that gradient. The
-    two branches share no buffer, so they can run on two threads at once.
+    so the next call with the same workspace overwrites that gradient.
     """
 
     def __init__(self, topology: SiameseTopology, n: int) -> None:
         self.topology, self.n = topology, n
         ext = topology.extractor_sizes[1:]
-        # The head input [f(pre), f(post)] and d(loss)/d(h), which has a buffer
-        # of its own so that it can be formed while the head's weight term
-        # reads h.
-        self.h = np.empty((n, 2 * topology.feature_size))
-        self.dh = np.empty(self.h.shape)
-        self.h_halves, self.dh_halves = _halves(self.h), _halves(self.dh)
-        # acts[branch][i]: output of extractor layer i for pre (0) or post (1),
-        # the last one copied into the branch's half of h. Backpropagation
+        # The pre rows stacked over the post rows: one extractor batch.
+        self.x = np.empty((2 * n, topology.input_dim))
+        # acts[i]: output of extractor layer i over the 2n rows, the last one
+        # copied into the head input h = [f(pre), f(post)]. Backpropagation
         # overwrites it with d(loss)/d(that layer's pre-activation) once the
-        # layer above has read it. Writing the last layer into h directly
-        # would make its ufuncs stride over rows, which cost more than the copy.
-        self.acts = [[np.empty((n, s)) for s in ext] for _ in range(2)]
-        # masks[branch][i]: where acts[branch][i] > 0, taken in the forward pass.
-        self.masks = [[np.empty((n, s), dtype=bool) for s in ext] for _ in range(2)]
+        # layer above has read it.
+        self.acts = [np.empty((2 * n, s)) for s in ext]
+        # masks[i]: where acts[i] > 0, taken in the forward pass.
+        self.masks = [np.empty((2 * n, s), dtype=bool) for s in ext]
+        self.h = np.empty((n, 2 * topology.feature_size))
         # The head's hidden activation r1, then dz1.
         self.r1 = np.empty((n, topology.head_hidden))
         self.r1_mask = np.empty(self.r1.shape, dtype=bool)
-        shapes = topology.layer_shapes()
-        # The head's and the pre branch's gradient terms are written into
-        # grad's layer views; the post branch's extractor terms go to
-        # post_grad and are added into grad after it, so each is rounded alone.
+        # Each layer's gradient term is written into its view of grad.
         self.grad = np.empty(topology.param_count)
-        self.g_layers = _unpack(self.grad, shapes)
-        self.post_grad = np.empty(topology.extractor_param_count)
-        self.branch_terms = (self.g_layers[: len(ext)], _unpack(self.post_grad, shapes[: len(ext)]))
+        self.g_layers = _unpack(self.grad, topology.layer_shapes())
 
     def check(self, topology: SiameseTopology, n: int) -> None:
         """Raise ValueError unless this workspace was built for (topology, n)."""
@@ -258,15 +246,10 @@ def _term(term: tuple, dz: np.ndarray, x: np.ndarray) -> None:
     np.add.reduce(dz, axis=0, out=tb)
 
 
-def _head_backward(
-    work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray,
-    dh: np.ndarray | None = None, executor: Executor | None = None,
-) -> float:
-    """Mean loss of the head on inputs h; writes its gradient terms into work.grad.
-
-    With `dh`, also writes d(loss)/d(h) into it, on the executor's thread
-    when one is given.
-    """
+def _head_backward(work: Workspace, layers: list, h: np.ndarray, targets: np.ndarray) -> float:
+    """Mean loss of the head on inputs h; writes its gradient terms into
+    work.grad and leaves dz1, d(loss)/d(the head's hidden pre-activation),
+    in work.r1."""
     scores, r1 = _head(layers, h, work.r1)
     mean_loss = loss(scores, targets)
     if not np.isfinite(mean_loss):
@@ -280,49 +263,8 @@ def _head_backward(
     # Masks multiply: np.where or copyto would turn a -0.0 into +0.0.
     dz1 = np.matmul(dlogit, layers[1][0], out=r1)
     np.multiply(dz1, mask, out=dz1)
-    if dh is None:
-        _term(g1, dz1, h)
-    else:
-        _both(
-            executor,
-            partial(_term, g1, dz1, h),
-            partial(np.matmul, dz1, layers[0][0], out=dh),
-        )
+    _term(g1, dz1, h)
     return mean_loss
-
-
-def _branch_forward(
-    layers: list, x: np.ndarray, acts: list, masks: list, features: np.ndarray
-) -> None:
-    """One branch's extractor layers on rows x into acts and `features`, and
-    their ReLU masks."""
-    np.copyto(features, _extract(layers, x, acts))
-    for a, mask in zip(acts, masks):
-        np.greater(a, 0.0, out=mask)
-
-
-def _branch_backward(
-    layers: list, x: np.ndarray, acts: list, masks: list, terms: list, da: np.ndarray
-) -> None:
-    """One branch's extractor gradient terms, from d(loss)/d(its features) in da."""
-    for li in range(len(layers) - 1, -1, -1):
-        dz = np.multiply(da, masks[li], out=acts[li])
-        _term(terms[li], dz, acts[li - 1] if li else x)
-        if li:
-            da = np.matmul(dz, layers[li][0], out=acts[li - 1])
-
-
-def _both(executor: Executor | None, first, second) -> None:
-    """first() and second(); with an executor, second runs on its thread meanwhile."""
-    if executor is None:
-        first()
-        second()
-        return
-    running = executor.submit(second)
-    try:
-        first()
-    finally:
-        running.result()
 
 
 def _finite(grad: np.ndarray) -> np.ndarray:
@@ -348,11 +290,8 @@ def head_loss_and_gradient(
     if work is None:
         work = Workspace(topology, h.shape[0])
     work.check(topology, h.shape[0])
-    grad = work.grad[topology.extractor_param_count :]
     mean_loss = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
-    # 0 + term, as summed into a zero-filled gradient: a -0.0 becomes +0.0.
-    np.add(grad, 0.0, out=grad)
-    return mean_loss, _finite(grad)
+    return mean_loss, _finite(work.grad[topology.extractor_param_count :])
 
 
 def loss_and_gradient(
@@ -361,55 +300,57 @@ def loss_and_gradient(
     post: np.ndarray,
     targets: np.ndarray,
     work: Workspace | None = None,
-    *,
-    executor: Executor | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE over the batch and its analytic gradient.
 
-    Backpropagates through both siamese branches, summing each branch's
-    contribution into the shared extractor gradients. Raises TrainingError
-    on non-finite intermediates.
+    The extractor runs once on the pre rows stacked over the post rows, so
+    each of its weight gradients is one product over both branches. Raises
+    TrainingError on non-finite intermediates.
 
     `work` holds every intermediate; without it a fresh Workspace is built.
     The gradient returned is work.grad: the next call with the same
     workspace overwrites it. A workspace built for another topology or row
-    count raises ValueError. With `executor`, the post branch's forward and
-    backward passes run on its thread while this one runs the pre branch's,
-    and d(loss)/d(h) is formed there while this thread forms the head's
-    first weight term; the result has the same bytes.
+    count raises ValueError.
     """
     topology = model.topology
+    n = pre.shape[0]
     if work is None:
-        work = Workspace(topology, pre.shape[0])
-    work.check(topology, pre.shape[0])
+        work = Workspace(topology, n)
+    work.check(topology, n)
     layers = _unpack(model.weights, topology.layer_shapes())
     n_ext = len(topology.extractor_sizes) - 1
-    ext = layers[:n_ext]
-    # The branches stay separate gemms; one stacked (2n, d) batch would
-    # reorder the sums of the extractor's weight gradients.
-    (pre_acts, post_acts), (pre_masks, post_masks) = work.acts, work.masks
-    pre_h, post_h = work.h_halves
-    _both(
-        executor,
-        partial(_branch_forward, ext, pre, pre_acts, pre_masks, pre_h),
-        partial(_branch_forward, ext, post, post_acts, post_masks, post_h),
-    )
+    ext, acts, masks = layers[:n_ext], work.acts, work.masks
+    np.copyto(work.x[:n], pre)
+    np.copyto(work.x[n:], post)
+    features = _extract(ext, work.x, acts)
+    for a, mask in zip(acts, masks):
+        np.greater(a, 0.0, out=mask)
+    pre_h, post_h = _halves(work.h)
+    np.copyto(pre_h, features[:n])
+    np.copyto(post_h, features[n:])
 
-    mean_loss = _head_backward(work, layers[n_ext:], work.h, targets, work.dh, executor)
+    mean_loss = _head_backward(work, layers[n_ext:], work.h, targets)
 
-    pre_terms, post_terms = work.branch_terms
-    pre_dh, post_dh = work.dh_halves
-    _both(
-        executor,
-        partial(_branch_backward, ext, pre, pre_acts, pre_masks, pre_terms, pre_dh),
-        partial(_branch_backward, ext, post, post_acts, post_masks, post_terms, post_dh),
-    )
-    # Each entry is 0 + the head's or the pre branch's term (so a -0.0 term
-    # becomes +0.0), then + the post branch's term, in that order.
-    np.add(work.grad, 0.0, out=work.grad)
-    ext_grad = work.grad[: work.post_grad.size]
-    np.add(ext_grad, work.post_grad, out=ext_grad)
+    # d(loss)/d(features) of the pre and post rows, from dz1 and the two
+    # halves of the head's first weight matrix.
+    dz1, w1 = work.r1, layers[n_ext][0]
+    f = topology.feature_size
+    np.matmul(dz1, w1[:, :f], out=acts[-1][:n])
+    np.matmul(dz1, w1[:, f:], out=acts[-1][n:])
+    da = acts[-1]
+    for li in range(n_ext - 1, -1, -1):
+        dz = np.multiply(da, masks[li], out=acts[li])
+        _term(work.g_layers[li], dz, acts[li - 1] if li else work.x)
+        if li:
+            da = np.matmul(dz, ext[li][0], out=acts[li - 1])
     return mean_loss, _finite(work.grad)
+
+
+def _run_now(fn, *args) -> Future:
+    """fn(*args) run here and now, as a finished Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 INIT_GAIN = np.sqrt(6.0)
@@ -475,12 +416,7 @@ def init_transfer(topology: SiameseTopology, pretrained: BaseModel, seed: int) -
 
 
 def fine_tune(
-    model: BaseModel,
-    indices: np.ndarray,
-    dataset: PairDataset,
-    config: TrainConfig,
-    *,
-    executor: Executor | None = None,
+    model: BaseModel, indices: np.ndarray, dataset: PairDataset, config: TrainConfig
 ) -> tuple[BaseModel, np.ndarray]:
     """Train a model on dataset rows `indices` with full-batch Adam.
 
@@ -490,8 +426,7 @@ def fine_tune(
     intermediates into one Workspace built here. Returns the trained model
     and the training-loss trace (one entry per iteration, evaluated before
     each step; no monotonicity is promised). A TrainingError names the
-    1-based iteration. `executor` is passed on to every loss_and_gradient
-    call of a scratch model.
+    1-based iteration.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -513,9 +448,7 @@ def fine_tune(
             if n_frozen:
                 trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
             else:
-                trace[step], grad = loss_and_gradient(
-                    step_model, pre, post, targets, work=work, executor=executor
-                )
+                trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
         except TrainingError as exc:
             raise TrainingError(f"iteration {step + 1}: {exc}") from exc
         adam_step(trainable, grad, state, config)
@@ -526,20 +459,42 @@ def fine_tune(
 def pretrain_extractor(
     source: PairDataset, topology: SiameseTopology, budget: int, seed: int
 ) -> BaseModel:
-    """The scratch model trained on every source row for `budget` steps;
-    init_transfer freezes its extractor.
+    """The scratch model trained on every source row for `budget` full-batch
+    Adam steps; init_transfer freezes its extractor.
 
     The source dataset must be disjoint from any evaluation data; with
-    budget 0 the model equals its scratch initialization. BLAS runs one
-    thread and each step's post branch a second thread, whatever the
-    caller's BLAS thread count, which is restored on return. Where OpenBLAS
-    cannot be pinned, training runs on the calling thread alone.
+    budget 0 the model equals its scratch initialization. Each step's
+    gradient is the row-weighted mean of the gradients of the source's first
+    and second halves (a PairDataset holds both classes, so neither half is
+    empty), each with its own Workspace. BLAS runs one thread, whatever the
+    caller's count, which is restored on return, and the second half runs on
+    a second thread meanwhile. Where OpenBLAS cannot be pinned, both halves
+    run on the calling thread, with the same bytes. A TrainingError names
+    the 1-based iteration.
     """
+    n = len(source)
     config = TrainConfig(iterations=budget)
-    with blas.one_thread() as pinned:
-        with ThreadPoolExecutor(max_workers=1) if pinned else nullcontext() as executor:
-            trained, _ = fine_tune(
-                init_scratch(topology, seed), np.arange(len(source)), source, config,
-                executor=executor,
-            )
-    return trained
+    # Allocated first and returned as the model's weights: a final copy
+    # would sit in the heap above the freed halves' buffers.
+    weights = _init_weights(topology, seed)
+    model = BaseModel(topology, weights[:])
+    targets = smooth_target(source.labels, config.alpha)
+    cut = n // 2
+    halves = [
+        (model, source.pre[rows], source.post[rows], targets[rows], Workspace(topology, size))
+        for rows, size in ((slice(cut), cut), (slice(cut, n), n - cut))
+    ]
+    state = AdamState.zeros(weights.size)
+    with blas.one_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
+        submit = pool.submit if pinned else _run_now
+        for step in range(budget):
+            try:
+                second = submit(loss_and_gradient, *halves[1])
+                _, grad = loss_and_gradient(*halves[0])
+                _, second_grad = second.result()
+            except TrainingError as exc:
+                raise TrainingError(f"iteration {step + 1}: {exc}") from exc
+            np.multiply(grad, cut / n, out=grad)
+            np.add(grad, np.multiply(second_grad, (n - cut) / n, out=second_grad), out=grad)
+            adam_step(weights, grad, state, config)
+    return BaseModel(topology=topology, weights=weights, init_mode="scratch")

@@ -10,11 +10,12 @@ def two_blas_threads():
     lib = blas._library()
     if lib is None:
         pytest.skip("no OpenBLAS thread control")
-    before = blas.threads()
-    getattr(lib, blas._SET)(2)
+    get, set_ = lib
+    before = get()
+    set_(2)
     assert blas.threads() == 2
     yield
-    getattr(lib, blas._SET)(before)
+    set_(before)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -382,6 +382,22 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="unknown arm"):
             run_trial(spec, "warm", 2, 1, 0, context=build_context(spec))
 
+    @pytest.mark.parametrize(
+        "budgets", [(("scratch", 2, 5), ("transfer", 2, 5)), (("scratch", 2, 5),)]
+    )
+    def test_arm_the_spec_does_not_run_fails_before_any_draw(self, monkeypatch, budgets):
+        """With or without transfer budgets, a scratch-only spec rejects a
+        transfer trial by name before it draws anything."""
+        spec = dataclasses.replace(tiny_spec(arms=("scratch",)), budgets=budgets)
+        ctx = build_context(spec)
+
+        def no_draw(*args):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(harness, "draw_k_shot", no_draw)
+        with pytest.raises(ValueError, match=r"^unknown arm 'transfer': the spec runs \('scratch',\)$"):
+            run_trial(spec, "transfer", 2, 1, 0, context=ctx)
+
     def test_well_separated_data_scores_high(self):
         """k=2 on strongly separated pairs still beats 90% test accuracy."""
         spec = dataclasses.replace(

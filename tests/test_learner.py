@@ -1,7 +1,7 @@
 """Tests for the siamese pair classifier: forward, init, training, freezing."""
 
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -62,10 +62,59 @@ def oracle_forward(model, pre, post):
     return np.array(scores)
 
 
+def oracle_extract(model, x):
+    """Activations [x, layer 1, ..., features] of the extractor on rows x."""
+    acts = [x]
+    for w, b in oracle_layers(model)[: len(model.topology.extractor_sizes) - 1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    return acts
+
+
+def stacked_head_input(model, pre, post):
+    """[f(pre), f(post)] from one extractor pass over pre stacked over post."""
+    return np.hstack(np.split(oracle_extract(model, np.concatenate([pre, post]))[-1], 2))
+
+
 def oracle_loss_and_gradient(model, pre, post, targets):
-    """Batch loss and gradient, assembled straight-line into a zero-filled
-    vector: per layer += the head term, then the pre term, then the post term,
-    each dz.T @ x and the column sums of dz."""
+    """Batch loss and gradient in straight-line code: the extractor runs on
+    the pre rows stacked over the post rows, and each layer's term, dz.T @ x
+    and the column sums of dz, is written into the gradient vector."""
+    topology = model.topology
+    n_ext = len(topology.extractor_sizes) - 1
+    mats = oracle_layers(model)
+    grad = np.empty(topology.param_count)
+    views = learner._unpack(grad, topology.layer_shapes())
+
+    def set_term(layer, dz, x):
+        gw, gb = views[layer]
+        gw[...] = dz.T @ x
+        gb[...] = dz.sum(axis=0)
+
+    acts = oracle_extract(model, np.concatenate([pre, post]))
+    n = pre.shape[0]
+    h = np.hstack(np.split(acts[-1], 2))
+    (w1, b1), (w2, b2) = mats[n_ext:]
+    r1 = np.maximum(h @ w1.T + b1, 0.0)
+    scores = learner._sigmoid((r1 @ w2.T + b2)[:, 0])
+    mean_loss = loss(scores, targets)
+    dlogit = ((scores - targets) / n)[:, None]
+    set_term(n_ext + 1, dlogit, r1)
+    dz1 = (dlogit @ w2) * (r1 > 0.0)
+    set_term(n_ext, dz1, h)
+    f = topology.feature_size
+    da = np.concatenate([dz1 @ w1[:, :f], dz1 @ w1[:, f:]])
+    for li in range(n_ext - 1, -1, -1):
+        dz = da * (acts[li + 1] > 0.0)
+        set_term(li, dz, acts[li])
+        da = dz @ mats[li][0]
+    return mean_loss, grad
+
+
+def two_branch_loss_and_gradient(model, pre, post, targets):
+    """Batch loss and gradient with the branches apart, summed into a
+    zero-filled vector: per layer += the head term, then the pre term, then
+    the post term. The stacked batch reorders these sums, so this reference
+    agrees with loss_and_gradient only to a tolerance."""
     topology = model.topology
     n_ext = len(topology.extractor_sizes) - 1
     mats = oracle_layers(model)
@@ -77,14 +126,7 @@ def oracle_loss_and_gradient(model, pre, post, targets):
         gw += dz.T @ x
         gb += dz.sum(axis=0)
 
-    def extract(x):
-        acts = [x]
-        for w, b in mats[:n_ext]:
-            acts.append(np.maximum(x @ w.T + b, 0.0))
-            x = acts[-1]
-        return acts
-
-    branches = [extract(pre), extract(post)]
+    branches = [oracle_extract(model, pre), oracle_extract(model, post)]
     h = np.concatenate([branches[0][-1], branches[1][-1]], axis=1)
     (w1, b1), (w2, b2) = mats[n_ext:]
     r1 = np.maximum(h @ w1.T + b1, 0.0)
@@ -452,59 +494,55 @@ class TestHeadLossAndGradient:
 
 
 class TestGradientAssembly:
-    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100])
-    def test_matches_straight_line_oracle_bytewise(self, n):
-        """Both gradients give the oracle's loss and gradient bytes: fresh,
-        through a reused workspace and with the executor, and over the head
-        slice alone."""
-        rng = np.random.default_rng(100 + n)
-        topologies = [random_topology(rng) for _ in range(4)] + [
+    @staticmethod
+    def topologies(rng):
+        return [random_topology(rng) for _ in range(4)] + [
             SiameseTopology(extractor_sizes=(5, 9, 7, 6, 4), head_hidden=8),
             SiameseTopology(extractor_sizes=(16, 128, 64), head_hidden=128),
         ]
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            for t in topologies:
-                work = Workspace(t, n)
-                for seed in (1, 2):
-                    model = init_scratch(t, seed)
-                    pre, post = rng.standard_normal((2, n, t.input_dim))
-                    targets = smooth_target(rng.integers(0, 2, n), 0.1)
-                    want_loss, want = oracle_loss_and_gradient(model, pre, post, targets)
-                    h = head_input(model, pre, post)
-                    head = want[t.extractor_param_count :]
-                    for got_loss, got in (
-                        loss_and_gradient(model, pre, post, targets),
-                        loss_and_gradient(model, pre, post, targets, work),
-                        loss_and_gradient(model, pre, post, targets, work, executor=executor),
-                    ):
-                        assert got_loss == want_loss and got.tobytes() == want.tobytes()
-                    for got_loss, got in (
-                        head_loss_and_gradient(model.head_weights, t, h, targets),
-                        head_loss_and_gradient(model.head_weights, t, h, targets, work),
-                    ):
-                        assert got_loss == want_loss and got.tobytes() == head.tobytes()
 
-    def test_negative_zero_terms_give_positive_zero(self, monkeypatch):
-        """Terms are summed into zeros, so -0.0 terms give +0.0 entries."""
-        real = learner._term
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100])
+    def test_matches_straight_line_oracle_bytewise(self, n):
+        """Both gradients give the oracle's loss and gradient bytes: fresh,
+        through a reused workspace, and over the head slice alone, given the
+        stacked batch's head input. (head_input extracts each branch alone,
+        which at some row counts differs from the stacked batch in the last
+        bit.)"""
+        rng = np.random.default_rng(100 + n)
+        for t in self.topologies(rng):
+            work = Workspace(t, n)
+            for seed in (1, 2):
+                model = init_scratch(t, seed)
+                pre, post = rng.standard_normal((2, n, t.input_dim))
+                targets = smooth_target(rng.integers(0, 2, n), 0.1)
+                want_loss, want = oracle_loss_and_gradient(model, pre, post, targets)
+                h = stacked_head_input(model, pre, post)
+                head = want[t.extractor_param_count :]
+                for got_loss, got in (
+                    loss_and_gradient(model, pre, post, targets),
+                    loss_and_gradient(model, pre, post, targets, work),
+                ):
+                    assert got_loss == want_loss and got.tobytes() == want.tobytes()
+                for got_loss, got in (
+                    head_loss_and_gradient(model.head_weights, t, h, targets),
+                    head_loss_and_gradient(model.head_weights, t, h, targets, work),
+                ):
+                    assert got_loss == want_loss and got.tobytes() == head.tobytes()
 
-        def negative_zero_term(term, dz, x):
-            real(term, dz, x)
-            for part in term:
-                part[part == 0.0] = -0.0
-
-        monkeypatch.setattr(learner, "_term", negative_zero_term)
-        rng = np.random.default_rng(5)
-        t = SiameseTopology(extractor_sizes=(3, 6, 4), head_hidden=8)
-        model = init_scratch(t, 3)
-        pre, post = rng.standard_normal((2, 1, 3))
-        targets = smooth_target(np.array([1]), 0.1)
-        _, grad = loss_and_gradient(model, pre, post, targets)
-        _, head = head_loss_and_gradient(
-            model.head_weights, t, head_input(model, pre, post), targets
-        )
-        for g in (grad, head):
-            assert (g == 0.0).any() and not np.signbit(g[g == 0.0]).any()
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1984])
+    def test_agrees_with_two_branch_sums(self, n):
+        """Stacking the branches only reorders the extractor's gradient sums:
+        every entry stays within 1e-13 * max|g| of the two-branch reference,
+        and the loss within 1e-14 relative."""
+        rng = np.random.default_rng(200 + n)
+        for t in self.topologies(rng):
+            model = init_scratch(t, 3)
+            pre, post = rng.standard_normal((2, n, t.input_dim))
+            targets = smooth_target(rng.integers(0, 2, n), 0.1)
+            want_loss, want = two_branch_loss_and_gradient(model, pre, post, targets)
+            got_loss, got = loss_and_gradient(model, pre, post, targets)
+            assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestWorkspace:
@@ -557,61 +595,49 @@ class TestWorkspace:
                 head_loss_and_gradient(model.head_weights, t, h, targets, work=work)
 
 
-class TestBranchThread:
-    @pytest.mark.parametrize("sizes", [(16, 128, 64), (8, 24, 16, 12, 6)])
-    @pytest.mark.parametrize("n", [1, 10, 1984])
-    def test_executor_changes_no_byte(self, sizes, n):
-        """The post branch on a second thread gives the serial call's loss and
-        gradient bytes, also through a reused workspace."""
-        rng = np.random.default_rng(n)
-        t = SiameseTopology(extractor_sizes=sizes, head_hidden=32)
-        work = Workspace(t, n)
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            for seed in (1, 2):
-                model = init_scratch(t, seed)
-                pre, post = rng.standard_normal((2, n, t.input_dim))
-                targets = smooth_target(rng.integers(0, 2, n), 0.1)
-                want_loss, want = loss_and_gradient(model, pre, post, targets)
-                got_loss, got = loss_and_gradient(
-                    model, pre, post, targets, work, executor=executor
-                )
-                assert got_loss == want_loss and got.tobytes() == want.tobytes()
-
+class TestPretrainingThreads:
     @staticmethod
     def pretrain_spied(monkeypatch):
-        """pretrain_extractor on a 1,000-pair source at benchmark widths, the
-        executor and BLAS thread count its fine_tune call saw; its bytes must
-        equal those of a serial fine_tune inside blas.one_thread()."""
-        source = separable_dataset(n_pos=500, n_neg=500, d=16, seed=4)
+        """pretrain_extractor on a 1,001-pair source at benchmark widths, and
+        per loss_and_gradient call its row count, thread and BLAS thread count.
+        The halves hold 500 and 501 rows."""
+        source = separable_dataset(n_pos=500, n_neg=501, d=16, seed=4)
         t = SiameseTopology(extractor_sizes=(16, 128, 64), head_hidden=128)
         seen = []
-        real = learner.fine_tune
+        real = learner.loss_and_gradient
 
-        def spy(*args, executor=None):
-            seen.append((executor, blas.threads()))
-            return real(*args, executor=executor)
+        def spy(*args, **kwargs):
+            seen.append((args[1].shape[0], threading.get_ident(), blas.threads()))
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(learner, "fine_tune", spy)
+        monkeypatch.setattr(learner, "loss_and_gradient", spy)
         pretrained = pretrain_extractor(source, t, 3, 21)
-        with blas.one_thread():
-            want, _ = real(init_scratch(t, 21), np.arange(len(source)), source,
-                           TrainConfig(iterations=3))
-        assert pretrained.weights.tobytes() == want.weights.tobytes()
-        return seen
+        monkeypatch.setattr(learner, "loss_and_gradient", real)
+        return pretrained, seen
 
-    def test_pretraining_runs_one_blas_thread_and_a_branch_thread(
+    def test_second_half_runs_on_a_second_thread_at_one_blas_thread(
         self, monkeypatch, two_blas_threads
     ):
-        """A direct call at 2 BLAS threads trains at 1, with the post branch
-        on a second thread, and leaves the caller's count at 2."""
-        [(executor, threads)] = self.pretrain_spied(monkeypatch)
-        assert isinstance(executor, ThreadPoolExecutor) and executor._shutdown
-        assert threads == 1 and blas.threads() == 2
+        """A direct call at 2 BLAS threads trains both halves at 1, the second
+        off the calling thread, and leaves the caller's count at 2."""
+        _, seen = self.pretrain_spied(monkeypatch)
+        here = threading.get_ident()
+        assert sorted(rows for rows, _, _ in seen) == [500] * 3 + [501] * 3
+        assert all((thread == here) == (rows == 500) for rows, thread, _ in seen)
+        assert all(threads == 1 for _, _, threads in seen)
+        assert blas.threads() == 2
 
-    def test_pretraining_without_blas_control_opens_no_executor(self, monkeypatch):
-        monkeypatch.setattr(blas, "_library", lambda: None)
-        [(executor, _)] = self.pretrain_spied(monkeypatch)
-        assert executor is None
+    def test_without_blas_control_both_halves_run_here_with_the_same_bytes(
+        self, monkeypatch
+    ):
+        threaded, _ = self.pretrain_spied(monkeypatch)
+        # Pinned here, as the call itself cannot: its bytes are those of 1 BLAS thread.
+        with blas.one_thread():
+            monkeypatch.setattr(blas, "_library", lambda: None)
+            serial, seen = self.pretrain_spied(monkeypatch)
+        assert len(seen) == 6
+        assert all(thread == threading.get_ident() for _, thread, _ in seen)
+        assert serial.weights.tobytes() == threaded.weights.tobytes()
 
 
 class TestPretraining:
@@ -623,16 +649,42 @@ class TestPretraining:
         assert pretrained.init_mode == "scratch"
 
     def test_training_reduces_source_loss(self):
-        """The pretrained model is a scratch model fine-tuned on every source
-        row, and it fits the source task."""
-        source = separable_dataset(n_pos=20, n_neg=20, seed=4)
+        """The pretrained model is a scratch model trained by full-batch Adam
+        on the row-weighted mean of its two source halves' gradients, and it
+        fits the source task."""
+        source = separable_dataset(n_pos=20, n_neg=21, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
         init = init_scratch(t, 21)
-        model, _ = fine_tune(init, np.arange(len(source)), source, TrainConfig(iterations=150))
+        config = TrainConfig(iterations=150)
+        targets = smooth_target(source.labels, config.alpha)
+        weights, state = init.weights.copy(), AdamState.zeros(t.param_count)
+        n, cut = len(source), len(source) // 2
+        first, second = slice(cut), slice(cut, n)
+        for _ in range(config.iterations):
+            model = BaseModel(t, weights.copy())
+            _, g1 = loss_and_gradient(model, source.pre[first], source.post[first], targets[first])
+            _, g2 = loss_and_gradient(model, source.pre[second], source.post[second], targets[second])
+            adam_step(weights, g1 * (cut / n) + g2 * ((n - cut) / n), state, config)
         pretrained = pretrain_extractor(source, t, 150, 21)
-        np.testing.assert_array_equal(pretrained.weights, model.weights)
+        assert pretrained.weights.tobytes() == weights.tobytes()
         labels = source.labels
         trained_acc = np.mean((forward(pretrained, source.pre, source.post) >= 0.5) == labels)
         init_acc = np.mean((forward(init, source.pre, source.post) >= 0.5) == labels)
         assert trained_acc >= init_acc
         assert trained_acc >= 0.9
+
+    def test_nonfinite_loss_names_iteration(self, monkeypatch):
+        source = separable_dataset(n_pos=10, n_neg=10, seed=4)
+        t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
+        real = learner.loss_and_gradient
+        calls = []
+
+        def broken_third_call(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise TrainingError("non-finite gradient")
+            return real(*args)
+
+        monkeypatch.setattr(learner, "loss_and_gradient", broken_third_call)
+        with pytest.raises(TrainingError, match="^iteration 2: non-finite gradient$"):
+            pretrain_extractor(source, t, 5, 21)
