@@ -9,8 +9,11 @@ inputs and a seed.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,22 +178,45 @@ def draw_k_shot(dataset: PairDataset, k: int, seed: int) -> KShotDraw:
 _MANIFEST_HEADER = ["pre_path", "post_path", "label"]
 
 
-def _read_vector(path: Path, row: int) -> np.ndarray:
-    if not path.is_file():
-        raise ManifestError(f"manifest row {row}: vector file not found: {path}")
-    blob = path.read_bytes()
+# Errors of opening a path that Path.is_file() reads as "no such file".
+_MISSING = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+
+
+def _regular_file_bytes(name: str) -> bytes | None:
+    """The bytes of regular file `name`; None where Path.is_file() is False."""
+    try:
+        # Non-blocking, so that opening a FIFO does not wait for a writer.
+        fd = os.open(name, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except ValueError:  # a NUL byte in the name
+        return None
+    except OSError as exc:
+        if exc.errno in _MISSING:
+            return None
+        raise
+    try:
+        info = os.fstat(fd)
+        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+    finally:
+        os.close(fd)
+
+
+def _read_vector(name: str, row: int) -> memoryview:
+    """The float32 payload bytes of vector file `name`, its header and length
+    checked; errors name it as a Path."""
+    blob = _regular_file_bytes(name)
+    if blob is None:
+        raise ManifestError(f"manifest row {row}: vector file not found: {Path(name)}")
     if len(blob) < 4:
-        raise ManifestError(f"manifest row {row}: vector file too short: {path}")
-    (d,) = struct.unpack("<I", blob[:4])
+        raise ManifestError(f"manifest row {row}: vector file too short: {Path(name)}")
+    (d,) = struct.unpack_from("<I", blob)
     if d == 0:
-        raise ManifestError(f"manifest row {row}: vector file {path} holds no features")
-    expected = 4 + 4 * d
-    if len(blob) != expected:
+        raise ManifestError(f"manifest row {row}: vector file {Path(name)} holds no features")
+    if len(blob) != 4 + 4 * d:
         raise ManifestError(
-            f"manifest row {row}: vector file {path} declares {d} floats "
+            f"manifest row {row}: vector file {Path(name)} declares {d} floats "
             f"but holds {len(blob) - 4} bytes of payload"
         )
-    return np.frombuffer(blob, dtype="<f4", offset=4).astype(np.float64)
+    return memoryview(blob)[4:]
 
 
 def _write_vector(path: Path, vec: np.ndarray) -> None:
@@ -228,52 +254,84 @@ def load_manifest(path: str | Path) -> PairDataset:
         raise ManifestError(
             f"manifest {path} has header {header!r}, expected {_MANIFEST_HEADER!r}"
         )
-    pres, posts, labels = [], [], []
+    labels: list[int] = []
+    # Each row's pre payload then its post payload, as little-endian float32.
+    raw = bytearray()
     dim: int | None = None
-    first_row: dict[tuple[bytes, bytes], int] = {}
-    for row_no, row in enumerate(reader, start=1):
-        if len(row) != 3:
-            raise ManifestError(
-                f"manifest row {row_no}: expected 3 fields, got {len(row)}"
-            )
-        pre_path, post_path, label_text = (f.strip() for f in row)
-        if label_text not in ("0", "1"):
-            raise ManifestError(
-                f"manifest row {row_no}: label must be 0 or 1, got {label_text!r}"
-            )
-        pre = _read_vector(base / pre_path, row_no)
-        post = _read_vector(base / post_path, row_no)
-        if pre.shape[0] != post.shape[0]:
-            raise ManifestError(
-                f"manifest row {row_no}: pre has {pre.shape[0]} features "
-                f"but post has {post.shape[0]}"
-            )
-        if dim is None:
-            dim = pre.shape[0]
-        elif pre.shape[0] != dim:
-            raise ManifestError(
-                f"manifest row {row_no}: dimension {pre.shape[0]} differs "
-                f"from first row's {dim}"
-            )
-        earlier = first_row.setdefault((pre.tobytes(), post.tobytes()), row_no)
-        if earlier != row_no:
-            raise ManifestError(
-                f"manifest row {row_no}: pair repeats row {earlier}, so the "
-                "two copies could land on both sides of the train/test split"
-            )
-        pres.append(pre)
-        posts.append(post)
-        labels.append(int(label_text))
-    if not pres:
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != 3:
+                raise ManifestError(
+                    f"manifest row {row_no}: expected 3 fields, got {len(row)}"
+                )
+            pre_path, post_path, label_text = (f.strip() for f in row)
+            if label_text not in ("0", "1"):
+                raise ManifestError(
+                    f"manifest row {row_no}: label must be 0 or 1, got {label_text!r}"
+                )
+            pre = _read_vector(os.path.join(base, pre_path), row_no)
+            post = _read_vector(os.path.join(base, post_path), row_no)
+            if len(pre) != len(post):
+                raise ManifestError(
+                    f"manifest row {row_no}: pre has {len(pre) // 4} features "
+                    f"but post has {len(post) // 4}"
+                )
+            if dim is None:
+                dim = len(pre) // 4
+            elif len(pre) != 4 * dim:
+                raise ManifestError(
+                    f"manifest row {row_no}: dimension {len(pre) // 4} differs "
+                    f"from first row's {dim}"
+                )
+            raw += pre
+            raw += post
+            labels.append(int(label_text))
+    except (ValueError, OSError, csv.Error):
+        # Rows are checked for repeats once they are all read; a repeat among
+        # the rows read so far comes first, as it would row by row.
+        repeat = labels and _repeat_error(_as_pairs(raw, len(labels), dim))
+        if repeat:
+            raise repeat from None
+        raise
+    if not labels:
         raise ManifestError(f"manifest {path} has no data rows")
-    pre, post = np.array(pres), np.array(posts)
-    finite = np.isfinite(pre).all(axis=1) & np.isfinite(post).all(axis=1)
+    pairs = _as_pairs(raw, len(labels), dim)
+    repeat = _repeat_error(pairs)
+    if repeat:
+        raise repeat
+    finite = np.isfinite(pairs).all(axis=(1, 2))
     if not finite.all():
         row_no = int(np.argmin(finite)) + 1
         raise ManifestError(f"manifest row {row_no}: vector holds a non-finite value")
-    if not any(lab == 0 for lab in labels):
+    if 0 not in labels:
         raise ManifestError(f"manifest {path} has no negative samples")
-    return PairDataset(pre, post, np.array(labels))
+    return PairDataset(pairs[:, 0], pairs[:, 1], np.array(labels))
+
+
+def _as_pairs(raw: bytearray, rows: int, dim: int) -> np.ndarray:
+    """The (rows, 2, dim) float32 pre and post vectors whose payloads raw holds."""
+    return np.frombuffer(raw, dtype="<f4", count=rows * 2 * dim).reshape(rows, 2, dim)
+
+
+def _repeat_error(pairs: np.ndarray) -> ManifestError | None:
+    """The error naming the first row whose pre and post vectors repeat an
+    earlier row's, as the float64 vectors they load as, and the first row it
+    repeats; None without one."""
+    if not np.isfinite(pairs).all():
+        # The float64 cast can quiet a float32 NaN, which then repeats another.
+        pairs = pairs.astype(np.float64)
+    rows = pairs.shape[0]
+    keys = pairs.reshape(rows, -1).view(np.dtype((np.void, pairs[0].nbytes)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    repeats = np.flatnonzero(earlier != np.arange(rows))
+    if not repeats.size:
+        return None
+    row = int(repeats[0])
+    return ManifestError(
+        f"manifest row {row + 1}: pair repeats row {int(earlier[row]) + 1}, so the "
+        "two copies could land on both sides of the train/test split"
+    )
 
 
 def save_manifest(dataset: PairDataset, out_dir: str | Path) -> Path:

@@ -501,6 +501,9 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
     train_idx, test_idx = split_indices(dataset, spec.test_fraction, split_seed)
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
+    # Nothing reads the full dataset after the split; freed here, it leaves
+    # room for pretraining's buffers and the test features.
+    del dataset
     _check_feasible(train, spec.k_shots, spec.ensemble_sizes)
     if len(test) < DEFAULT_BIN_COUNT:
         raise ValueError(
@@ -509,7 +512,7 @@ def build_context(spec: ExperimentSpec) -> ExperimentContext:
         )
     pretrained = features = None
     if "transfer" in spec.arms:
-        pretrained = _pretrain(spec, dataset.dim)
+        pretrained = _pretrain(spec, train.dim)
         features = head_input(pretrained, test.pre, test.post)
         features.setflags(write=False)
     return ExperimentContext(

@@ -207,28 +207,41 @@ class Workspace:
     batches of n pairs under one topology, allocated once per training run.
 
     A call given a workspace writes into these buffers and returns `grad`,
-    so the next call with the same workspace overwrites that gradient.
+    so the next call with the same workspace overwrites that gradient. The
+    buffers hold `dtype`; a workspace of any dtype but float64 also holds a
+    copy of the weights in that dtype, which loss_and_gradient refreshes
+    from the model's float64 weights on each call.
     """
 
-    def __init__(self, topology: SiameseTopology, n: int) -> None:
+    def __init__(self, topology: SiameseTopology, n: int, dtype=np.float64) -> None:
         self.topology, self.n = topology, n
+        dtype = np.dtype(dtype)
         ext = topology.extractor_sizes[1:]
         # The pre rows stacked over the post rows: one extractor batch.
-        self.x = np.empty((2 * n, topology.input_dim))
+        self.x = np.empty((2 * n, topology.input_dim), dtype)
         # acts[i]: output of extractor layer i over the 2n rows, the last one
         # copied into the head input h = [f(pre), f(post)]. Backpropagation
         # overwrites it with d(loss)/d(that layer's pre-activation) once the
         # layer above has read it.
-        self.acts = [np.empty((2 * n, s)) for s in ext]
+        self.acts = [np.empty((2 * n, s), dtype) for s in ext]
         # masks[i]: where acts[i] > 0, taken in the forward pass.
         self.masks = [np.empty((2 * n, s), dtype=bool) for s in ext]
-        self.h = np.empty((n, 2 * topology.feature_size))
+        self.h = np.empty((n, 2 * topology.feature_size), dtype)
         # The head's hidden activation r1, then dz1.
-        self.r1 = np.empty((n, topology.head_hidden))
+        self.r1 = np.empty((n, topology.head_hidden), dtype)
         self.r1_mask = np.empty(self.r1.shape, dtype=bool)
         # Each layer's gradient term is written into its view of grad.
-        self.grad = np.empty(topology.param_count)
+        self.grad = np.empty(topology.param_count, dtype)
         self.g_layers = _unpack(self.grad, topology.layer_shapes())
+        self.weights = None if dtype == np.float64 else np.empty(topology.param_count, dtype)
+
+    def layers(self, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) views per layer of the flat float64 `weights`, or of this
+        workspace's own copy of them in its dtype."""
+        if self.weights is not None:
+            np.copyto(self.weights, weights)
+            weights = self.weights
+        return _unpack(weights, self.topology.layer_shapes())
 
     def check(self, topology: SiameseTopology, n: int) -> None:
         """Raise ValueError unless this workspace was built for (topology, n)."""
@@ -307,17 +320,17 @@ def loss_and_gradient(
     each of its weight gradients is one product over both branches. Raises
     TrainingError on non-finite intermediates.
 
-    `work` holds every intermediate; without it a fresh Workspace is built.
-    The gradient returned is work.grad: the next call with the same
-    workspace overwrites it. A workspace built for another topology or row
-    count raises ValueError.
+    `work` holds every intermediate; without it a fresh float64 Workspace
+    is built. The gradient returned is work.grad, in the workspace's dtype:
+    the next call with the same workspace overwrites it. A workspace built
+    for another topology or row count raises ValueError.
     """
     topology = model.topology
     n = pre.shape[0]
     if work is None:
         work = Workspace(topology, n)
     work.check(topology, n)
-    layers = _unpack(model.weights, topology.layer_shapes())
+    layers = work.layers(model.weights)
     n_ext = len(topology.extractor_sizes) - 1
     ext, acts, masks = layers[:n_ext], work.acts, work.masks
     np.copyto(work.x[:n], pre)
@@ -466,11 +479,14 @@ def pretrain_extractor(
     budget 0 the model equals its scratch initialization. Each step's
     gradient is the row-weighted mean of the gradients of the source's first
     and second halves (a PairDataset holds both classes, so neither half is
-    empty), each with its own Workspace. BLAS runs one thread, whatever the
-    caller's count, which is restored on return, and the second half runs on
-    a second thread meanwhile. Where OpenBLAS cannot be pinned, both halves
-    run on the calling thread, with the same bytes. A TrainingError names
-    the 1-based iteration.
+    empty), each with its own Workspace. The halves' forward and backward
+    passes run in float32 on a float32 copy of the weights; their mean, the
+    weights and Adam's moments stay float64. A source that does not fit
+    float32's range raises ValueError before the first step. BLAS runs one
+    thread, whatever the caller's count, which is restored on return, and
+    the second half runs on a second thread meanwhile. Where OpenBLAS cannot
+    be pinned, both halves run on the calling thread, with the same bytes.
+    A TrainingError names the 1-based iteration.
     """
     n = len(source)
     config = TrainConfig(iterations=budget)
@@ -478,23 +494,31 @@ def pretrain_extractor(
     # would sit in the heap above the freed halves' buffers.
     weights = _init_weights(topology, seed)
     model = BaseModel(topology, weights[:])
-    targets = smooth_target(source.labels, config.alpha)
+    with np.errstate(over="ignore"):
+        pre, post = source.pre.astype(np.float32), source.post.astype(np.float32)
+    if not (np.isfinite(pre).all() and np.isfinite(post).all()):
+        raise ValueError(
+            "pretraining computes in float32, and the source pairs exceed its range "
+            f"(about {float(np.finfo(np.float32).max):.1e}): lower separation or noise_scale"
+        )
+    targets = smooth_target(source.labels, config.alpha).astype(np.float32)
     cut = n // 2
     halves = [
-        (model, source.pre[rows], source.post[rows], targets[rows], Workspace(topology, size))
+        (model, pre[rows], post[rows], targets[rows], Workspace(topology, size, np.float32))
         for rows, size in ((slice(cut), cut), (slice(cut, n), n - cut))
     ]
+    grad, second_part = np.empty(weights.size), np.empty(weights.size)
     state = AdamState.zeros(weights.size)
     with blas.one_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
         submit = pool.submit if pinned else _run_now
         for step in range(budget):
             try:
                 second = submit(loss_and_gradient, *halves[1])
-                _, grad = loss_and_gradient(*halves[0])
+                _, first_grad = loss_and_gradient(*halves[0])
                 _, second_grad = second.result()
             except TrainingError as exc:
                 raise TrainingError(f"iteration {step + 1}: {exc}") from exc
-            np.multiply(grad, cut / n, out=grad)
-            np.add(grad, np.multiply(second_grad, (n - cut) / n, out=second_grad), out=grad)
-            adam_step(weights, grad, state, config)
+            np.multiply(first_grad, cut / n, out=grad, dtype=np.float64)
+            np.multiply(second_grad, (n - cut) / n, out=second_part, dtype=np.float64)
+            adam_step(weights, np.add(grad, second_part, out=grad), state, config)
     return BaseModel(topology=topology, weights=weights, init_mode="scratch")

@@ -450,6 +450,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and "Traceback" not in err
 
+    def test_separation_beyond_float32_range_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Pretraining computes in float32, so a source past its range is one
+        error line naming pretraining. (In float64 this sweep ran to the end.)"""
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        path = tmp_path / "huge.ini"
+        path.write_text(TINY_INI.replace("separation = 6.0", "separation = 1e39"))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pretraining ") and err.count("\n") == 1, err
+        assert "separation" in err and "noise_scale" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value, prefix",
         [

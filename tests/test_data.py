@@ -262,3 +262,34 @@ class TestManifest:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match="manifest row 5: pair repeats row 1"):
             load_manifest(manifest)
+
+    def rows_with(self, tmp_path, *extra):
+        """A 4-row manifest with `extra` data rows appended."""
+        manifest = save_manifest(small_dataset(n_pos=2, n_neg=2, d=2), tmp_path)
+        manifest.write_text(manifest.read_text() + "".join(f"{row}\n" for row in extra))
+        return manifest
+
+    def test_repeat_comes_before_a_bad_file_in_a_later_row(self, tmp_path):
+        """Repeats are found after the rows are read, and still reported in
+        row order: row 5 repeats row 1, and row 6's file is missing."""
+        manifest = self.rows_with(
+            tmp_path, "pair000000_pre.vec,pair000000_post.vec,1", "gone.vec,gone.vec,0"
+        )
+        with pytest.raises(ManifestError, match="^manifest row 5: pair repeats row 1,") as err:
+            load_manifest(manifest)
+        assert err.value.__context__ is None or err.value.__suppress_context__
+
+    def test_bad_file_comes_before_a_repeat_in_a_later_row(self, tmp_path):
+        manifest = self.rows_with(
+            tmp_path, "gone.vec,gone.vec,0", "pair000000_pre.vec,pair000000_post.vec,1"
+        )
+        with pytest.raises(ManifestError, match="^manifest row 5: vector file not found: "):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("name", ["subdir", "a\0b.vec", "pair000000_pre.vec/x"])
+    def test_directory_or_unopenable_name_is_not_found(self, tmp_path, name):
+        (tmp_path / "subdir").mkdir()
+        manifest = self.rows_with(tmp_path, f"{name},pair000000_post.vec,0")
+        want = f"manifest row 5: vector file not found: {tmp_path / name}"
+        with pytest.raises(ManifestError, match=re.escape(want)):
+            load_manifest(manifest)

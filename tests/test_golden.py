@@ -21,13 +21,13 @@ from test_cli import TINY_INI
 SRC = Path(pairbag.__file__).resolve().parent.parent
 
 GOLDEN = {
-    "results.jsonl": "4f5928b86924f4fd0b2944d0542d3ee9259f443667cdded01d04c0bd816c83df",
-    "summary.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
-    "report_cells.csv": "f907cacd78727edb1beb1f81645469e9c95b5a0c9eb8a202809f1ec9150eee82",
+    "results.jsonl": "da2f53be43ece8a95e1660bf5df0b7a7389001b64fbcab779be7e680c48ed6a0",
+    "summary.csv": "fa83debed0411b1302afd811b53a6a51ac94201497857624e6b1ba43a4bc4b6d",
+    "report_cells.csv": "fa83debed0411b1302afd811b53a6a51ac94201497857624e6b1ba43a4bc4b6d",
     "report_improvements.csv": "80165f65bb51f6d28c5a6b3092166d0a2eaf1f9329e6e45406cb5e965e4a7f0f",
 }
 # results.jsonl of the sweep with ensemble_sizes = 1
-CALIBRATION_RESULTS = "e1e5edcdfb81557a79e85fa66831fd3e3e9afa7932b3654f57c97c17456f11c8"
+CALIBRATION_RESULTS = "b386b8b3f417e833bd20e442c1bb3b88303de407c4aa12fdc9ad77d4cd667905"
 
 
 def sha256(path: Path) -> str:

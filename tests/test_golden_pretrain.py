@@ -14,7 +14,7 @@ import sys
 
 from test_golden import SRC
 
-PRETRAIN_SHA256 = "79a07bfcd857219d3d729bd40e331beed1d102c54cf6d668185e89a6b1276d5d"
+PRETRAIN_SHA256 = "33c19b923d44e6a1d2699ea91df125e0311c5334dfa6a76131b24f1c60aaf4e7"
 
 CHILD = """
 import dataclasses, hashlib

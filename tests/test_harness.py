@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -449,6 +450,27 @@ class TestRunExperiment:
         spec = tiny_spec(sizes=(30,))
         with pytest.raises(ValueError, match=r"infeasible cell k=2, \|M\|=30: .* only 21$"):
             run_experiment(spec)
+
+    def test_full_dataset_is_freed_before_pretraining(self, monkeypatch):
+        """build_context keeps only the train and test splits: the full
+        dataset is gone by the time pretraining allocates its buffers."""
+        spec = tiny_spec()
+        generate, pretrain = harness.generate_synthetic, harness.pretrain_extractor
+        full = []
+
+        def remembered(synthetic):
+            dataset = generate(synthetic)
+            if synthetic == spec.source:
+                full.append(weakref.ref(dataset))
+            return dataset
+
+        def checked(*args):
+            assert len(full) == 1 and full[0]() is None, "the full dataset is still alive"
+            return pretrain(*args)
+
+        monkeypatch.setattr(harness, "generate_synthetic", remembered)
+        monkeypatch.setattr(harness, "pretrain_extractor", checked)
+        assert build_context(spec).pretrained is not None
 
     def test_parallel_sweep_pretrains_once(self, tmp_path, monkeypatch):
         """Pool workers reuse the parent's context instead of rebuilding it."""

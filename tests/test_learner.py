@@ -2,13 +2,14 @@
 
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import pairbag.learner as learner
 from pairbag import blas
-from pairbag.data import SyntheticSpec, generate_synthetic
+from pairbag.data import PairDataset, SyntheticSpec, generate_synthetic
 from pairbag.learner import (
     BaseModel,
     SiameseTopology,
@@ -383,11 +384,13 @@ class TestFineTune:
         np.testing.assert_array_equal(trained.extractor_weights, pretrained.extractor_weights)
         assert not np.array_equal(trained.head_weights, model.head_weights)
 
-    def test_transfer_mode_matches_full_vector_training_bytewise(self):
-        """Head-only transfer training gives the bytes of the full-vector loop
-        that zeroes the extractor gradient before each Adam step."""
-        ds = separable_dataset()
-        t = self.small_topology()
+    @staticmethod
+    def transfer_and_full_vector(widths, head_hidden, n):
+        """Head-only transfer training and the full-vector loop that zeroes
+        the extractor gradient before each Adam step, on n separable pairs:
+        (fine_tune's weights, its trace, the loop's weights, its trace)."""
+        ds = separable_dataset(n_pos=n // 2, n_neg=n - n // 2, d=widths[0])
+        t = SiameseTopology(extractor_sizes=widths, head_hidden=head_hidden)
         pretrained = init_scratch(t, 11)
         model = init_transfer(t, pretrained, 12)
         cfg = TrainConfig(iterations=30, learning_rate=0.01)
@@ -403,8 +406,26 @@ class TestFineTune:
             adam_step(weights, grad, state, cfg)
             trace.append(step_loss)
         trained, got_trace = fine_tune(model, np.arange(len(ds)), ds, cfg)
-        assert np.array_equal(trained.weights, weights)
+        return trained.weights, got_trace, weights, np.array(trace)
+
+    def test_transfer_mode_matches_full_vector_training_bytewise(self):
+        """Where head_input's per-branch extractor passes give the stacked
+        batch's bytes, as on these 10 pairs, head-only training gives the
+        full-vector loop's bytes."""
+        got, got_trace, want, trace = self.transfer_and_full_vector((4, 8, 4), 8, 10)
+        assert np.array_equal(got, want)
         assert np.array_equal(got_trace, trace)
+
+    @pytest.mark.parametrize("n", [1, 10, 11])
+    def test_transfer_mode_matches_full_vector_training_at_default_widths(self, n):
+        """The stacked batch is one gemm over 2n rows, which can round
+        differently from head_input's two n-row gemms: at the default widths
+        the features differ in the last bit at these row counts (up to
+        2.7e-15 at n=11). The weights and the trace must stay within 1e-13
+        of their largest magnitude; they read up to 1.5e-15."""
+        got, got_trace, want, trace = self.transfer_and_full_vector((16, 128, 64), 128, n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(got_trace - trace).max() <= 1e-13 * trace.max()
 
     def test_scratch_mode_moves_extractor(self):
         ds = separable_dataset()
@@ -595,6 +616,53 @@ class TestWorkspace:
                 head_loss_and_gradient(model.head_weights, t, h, targets, work=work)
 
 
+class TestFloat32Workspace:
+    """A float32 workspace computes pretraining's forward and backward pass
+    in float32 on its own copy of the float64 weights."""
+
+    # Fixed from float32's unit roundoff before measuring: the inputs and
+    # weights are rounded once, and each product and sum of up to 2n rows
+    # adds a few units; 16 eps of max|g| bounds the whole gradient.
+    GRAD_TOL = 16 * np.finfo(np.float32).eps
+    LOSS_TOL = 1e-6
+
+    TOPOLOGIES = (
+        SiameseTopology(extractor_sizes=(16, 128, 64), head_hidden=128),
+        SiameseTopology(extractor_sizes=(16, 64, 48, 32, 16), head_hidden=32),
+    )
+
+    @staticmethod
+    def batch32(pre, post, targets):
+        return pre.astype(np.float32), post.astype(np.float32), targets.astype(np.float32)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 992])
+    def test_agrees_with_the_float64_kernel(self, n):
+        rng = np.random.default_rng(300 + n)
+        for t in self.TOPOLOGIES:
+            model = init_scratch(t, 5)
+            pre, post = rng.standard_normal((2, n, t.input_dim))
+            targets = smooth_target(rng.integers(0, 2, n), 0.1)
+            want_loss, want = loss_and_gradient(model, pre, post, targets)
+            work = Workspace(t, n, np.float32)
+            got_loss, got = loss_and_gradient(model, *self.batch32(pre, post, targets), work)
+            assert got is work.grad and got.dtype == np.float32
+            assert abs(got_loss - want_loss) <= self.LOSS_TOL * abs(want_loss)
+            assert np.abs(got - want).max() <= self.GRAD_TOL * np.abs(want).max()
+
+    def test_each_call_reads_the_current_weights(self):
+        """A float32 workspace that last held model A gives model B the
+        bytes of a fresh float32 workspace."""
+        rng = np.random.default_rng(41)
+        t = self.TOPOLOGIES[1]
+        batch = self.batch32(*rng.standard_normal((2, 6, t.input_dim)), np.full(6, 0.5))
+        model_a, model_b = init_scratch(t, 1), init_scratch(t, 2)
+        work = Workspace(t, 6, np.float32)
+        loss_and_gradient(model_a, *batch, work)
+        got_loss, got = loss_and_gradient(model_b, *batch, work)
+        want_loss, want = loss_and_gradient(model_b, *batch, Workspace(t, 6, np.float32))
+        assert got_loss == want_loss and got.tobytes() == want.tobytes()
+
+
 class TestPretrainingThreads:
     @staticmethod
     def pretrain_spied(monkeypatch):
@@ -648,30 +716,68 @@ class TestPretraining:
         np.testing.assert_array_equal(pretrained.weights, init_scratch(t, 21).weights)
         assert pretrained.init_mode == "scratch"
 
+    @staticmethod
+    def two_half_adam(source, t, init, config, dtype):
+        """Full-batch Adam on the float64 weights `init` over the row-weighted
+        float64 mean of the source halves' gradients, computed in `dtype`."""
+        targets = smooth_target(source.labels, config.alpha)
+        weights, state = init.weights.copy(), AdamState.zeros(t.param_count)
+        n, cut = len(source), len(source) // 2
+        halves = [
+            (
+                source.pre[rows].astype(dtype),
+                source.post[rows].astype(dtype),
+                targets[rows].astype(dtype),
+                Workspace(t, size, dtype),
+            )
+            for rows, size in ((slice(cut), cut), (slice(cut, n), n - cut))
+        ]
+        for _ in range(config.iterations):
+            model = BaseModel(t, weights.copy())
+            g1 = loss_and_gradient(model, *halves[0])[1].astype(np.float64)
+            g2 = loss_and_gradient(model, *halves[1])[1].astype(np.float64)
+            adam_step(weights, g1 * (cut / n) + g2 * ((n - cut) / n), state, config)
+        return BaseModel(t, weights)
+
     def test_training_reduces_source_loss(self):
         """The pretrained model is a scratch model trained by full-batch Adam
-        on the row-weighted mean of its two source halves' gradients, and it
-        fits the source task."""
+        on float64 weights over the row-weighted mean of its two source
+        halves' float32 gradients, and it fits the source task. Its source
+        loss stays within 1e-6 relative of the same loop run in float64."""
         source = separable_dataset(n_pos=20, n_neg=21, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
         init = init_scratch(t, 21)
         config = TrainConfig(iterations=150)
-        targets = smooth_target(source.labels, config.alpha)
-        weights, state = init.weights.copy(), AdamState.zeros(t.param_count)
-        n, cut = len(source), len(source) // 2
-        first, second = slice(cut), slice(cut, n)
-        for _ in range(config.iterations):
-            model = BaseModel(t, weights.copy())
-            _, g1 = loss_and_gradient(model, source.pre[first], source.post[first], targets[first])
-            _, g2 = loss_and_gradient(model, source.pre[second], source.post[second], targets[second])
-            adam_step(weights, g1 * (cut / n) + g2 * ((n - cut) / n), state, config)
+        mixed = self.two_half_adam(source, t, init, config, np.float32)
         pretrained = pretrain_extractor(source, t, 150, 21)
-        assert pretrained.weights.tobytes() == weights.tobytes()
+        assert pretrained.weights.tobytes() == mixed.weights.tobytes()
+        reference = self.two_half_adam(source, t, init, config, np.float64)
+        targets = smooth_target(source.labels, config.alpha)
+        got, want = (
+            loss(forward(m, source.pre, source.post), targets) for m in (pretrained, reference)
+        )
+        assert abs(got - want) <= 1e-6 * want
         labels = source.labels
         trained_acc = np.mean((forward(pretrained, source.pre, source.post) >= 0.5) == labels)
         init_acc = np.mean((forward(init, source.pre, source.post) >= 0.5) == labels)
         assert trained_acc >= init_acc
         assert trained_acc >= 0.9
+
+    def test_source_beyond_float32_range_fails_before_the_first_step(self, monkeypatch):
+        """A source that overflows float32 is a ValueError naming
+        pretraining and the data keys, raised without a cast warning and
+        before any gradient."""
+        clean = separable_dataset(n_pos=10, n_neg=10, seed=4)
+        source = PairDataset(clean.pre, clean.post * 1e39, clean.labels)
+        t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
+        calls = []
+        monkeypatch.setattr(learner, "loss_and_gradient", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = "^pretraining .*float32.*separation or noise_scale$"
+            with pytest.raises(ValueError, match=match):
+                pretrain_extractor(source, t, 5, 21)
+        assert calls == []
 
     def test_nonfinite_loss_names_iteration(self, monkeypatch):
         source = separable_dataset(n_pos=10, n_neg=10, seed=4)
