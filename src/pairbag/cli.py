@@ -103,7 +103,6 @@ def _print_summary(summary: SweepSummary) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(_synthetic_spec(load_config(args.config), args.seed))
-    args.out.mkdir(parents=True, exist_ok=True)
     manifest = save_manifest(dataset, args.out)
     print(
         f"wrote {len(dataset)} pairs ({len(dataset.positives)} positive, "

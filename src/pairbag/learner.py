@@ -137,17 +137,10 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | N
     return np.maximum(z, 0.0, out=z)
 
 
-def _extract(layers: list, x: np.ndarray, acts: list) -> np.ndarray:
+def _extract(layers: list, x: np.ndarray, acts: list) -> None:
     """The extractor's ReLU layers applied to rows x; layer i writes into acts[i]."""
     for (w, b), out in zip(layers, acts):
         x = _relu_layer(x, w, b, out)
-    return x
-
-
-def _halves(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the pre and post feature blocks of head inputs h."""
-    f = h.shape[1] // 2
-    return h[:, :f], h[:, f:]
 
 
 def _head(layers: list, h: np.ndarray, r1: np.ndarray | None = None):
@@ -159,7 +152,7 @@ def _head(layers: list, h: np.ndarray, r1: np.ndarray | None = None):
 
 
 def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """The head input [f(pre), f(post)] of n pairs, shape (n, 2f).
+    """loss_and_gradient's head input [f(pre), f(post)] of n pairs, shape (n, 2f).
 
     pre and post are (n, d) batches; any other shape raises ValueError.
     """
@@ -171,14 +164,13 @@ def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarra
             f"pair batch shapes {pre.shape} / {post.shape} are not (n, input dim {d})"
         )
     layers = _unpack(model.extractor_weights, model.topology.layer_shapes()[:-2])
-    n, sizes = pre.shape[0], model.topology.extractor_sizes
-    h = np.empty((n, 2 * sizes[-1]))
-    # Each branch's last layer writes its half of h. The hidden layers'
-    # buffers come after h and serve both branches, so that no freed
-    # intermediate stays resident in the heap below h.
-    hidden = [np.empty((n, s)) for s in sizes[1:-1]]
-    for x, half in zip((pre, post), _halves(h)):
-        _extract(layers, x, hidden + [half])
+    n, f = pre.shape[0], model.topology.feature_size
+    h = np.empty((n, 2 * f))
+    # 512 pairs at a time, so that a large test set's hidden layers stay small.
+    for start in range(0, n, 512):
+        rows = slice(start, start + 512)
+        x = np.stack([pre[rows], post[rows]], axis=1).reshape(-1, d)
+        _extract(layers, x, [None] * (len(layers) - 1) + [h[rows].reshape(-1, f)])
     return h
 
 
@@ -217,16 +209,15 @@ class Workspace:
         self.topology, self.n = topology, n
         dtype = np.dtype(dtype)
         ext = topology.extractor_sizes[1:]
-        # The pre rows stacked over the post rows: one extractor batch.
+        # One extractor batch: row 2i is pair i's pre vector, row 2i+1 its post.
         self.x = np.empty((2 * n, topology.input_dim), dtype)
-        # acts[i]: output of extractor layer i over the 2n rows, the last one
-        # copied into the head input h = [f(pre), f(post)]. Backpropagation
-        # overwrites it with d(loss)/d(that layer's pre-activation) once the
-        # layer above has read it.
+        # acts[i]: output of extractor layer i over the 2n rows; the last one,
+        # viewed as (n, 2f), is the head input h = [f(pre), f(post)].
+        # Backpropagation overwrites it with d(loss)/d(that layer's
+        # pre-activation) once the layer above has read it.
         self.acts = [np.empty((2 * n, s), dtype) for s in ext]
         # masks[i]: where acts[i] > 0, taken in the forward pass.
         self.masks = [np.empty((2 * n, s), dtype=bool) for s in ext]
-        self.h = np.empty((n, 2 * topology.feature_size), dtype)
         # The head's hidden activation r1, then dz1.
         self.r1 = np.empty((n, topology.head_hidden), dtype)
         self.r1_mask = np.empty(self.r1.shape, dtype=bool)
@@ -307,6 +298,7 @@ def head_loss_and_gradient(
     return mean_loss, _finite(work.grad[topology.extractor_param_count :])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss_and_gradient(
     model: BaseModel,
     pre: np.ndarray,
@@ -316,9 +308,11 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE over the batch and its analytic gradient.
 
-    The extractor runs once on the pre rows stacked over the post rows, so
-    each of its weight gradients is one product over both branches. Raises
-    TrainingError on non-finite intermediates.
+    The extractor runs once on 2n rows, pair i's pre row at 2i and its post
+    row at 2i+1: each weight gradient is one product over both branches, and
+    its output viewed as (n, 2f) is the head input. Raises TrainingError on
+    non-finite intermediates, which numpy's overflow and invalid-value
+    warnings would only repeat, so those are off in every calling thread.
 
     `work` holds every intermediate; without it a fresh float64 Workspace
     is built. The gradient returned is work.grad, in the workspace's dtype:
@@ -333,29 +327,22 @@ def loss_and_gradient(
     layers = work.layers(model.weights)
     n_ext = len(topology.extractor_sizes) - 1
     ext, acts, masks = layers[:n_ext], work.acts, work.masks
-    np.copyto(work.x[:n], pre)
-    np.copyto(work.x[n:], post)
-    features = _extract(ext, work.x, acts)
+    np.copyto(work.x[0::2], pre)
+    np.copyto(work.x[1::2], post)
+    _extract(ext, work.x, acts)
     for a, mask in zip(acts, masks):
         np.greater(a, 0.0, out=mask)
-    pre_h, post_h = _halves(work.h)
-    np.copyto(pre_h, features[:n])
-    np.copyto(post_h, features[n:])
+    h = acts[-1].reshape(n, -1)
 
-    mean_loss = _head_backward(work, layers[n_ext:], work.h, targets)
+    mean_loss = _head_backward(work, layers[n_ext:], h, targets)
 
-    # d(loss)/d(features) of the pre and post rows, from dz1 and the two
-    # halves of the head's first weight matrix.
-    dz1, w1 = work.r1, layers[n_ext][0]
-    f = topology.feature_size
-    np.matmul(dz1, w1[:, :f], out=acts[-1][:n])
-    np.matmul(dz1, w1[:, f:], out=acts[-1][n:])
-    da = acts[-1]
+    # d(loss)/d(h) from dz1: d(loss)/d(features) of every pre and post row.
+    np.matmul(work.r1, layers[n_ext][0], out=h)
     for li in range(n_ext - 1, -1, -1):
-        dz = np.multiply(da, masks[li], out=acts[li])
+        dz = np.multiply(acts[li], masks[li], out=acts[li])
         _term(work.g_layers[li], dz, acts[li - 1] if li else work.x)
         if li:
-            da = np.matmul(dz, ext[li][0], out=acts[li - 1])
+            np.matmul(dz, ext[li][0], out=acts[li - 1])
     return mean_loss, _finite(work.grad)
 
 
@@ -456,15 +443,16 @@ def fine_tune(
     # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
     step_model = None if n_frozen else BaseModel(topology, trainable[:])
     trace = np.empty(config.iterations)
-    for step in range(config.iterations):
-        try:
-            if n_frozen:
-                trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
-            else:
-                trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
-        except TrainingError as exc:
-            raise TrainingError(f"iteration {step + 1}: {exc}") from exc
-        adam_step(trainable, grad, state, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.iterations):
+            try:
+                if n_frozen:
+                    trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
+                else:
+                    trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
+            except TrainingError as exc:
+                raise TrainingError(f"iteration {step + 1}: {exc}") from exc
+            adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
 
@@ -486,7 +474,7 @@ def pretrain_extractor(
     thread, whatever the caller's count, which is restored on return, and
     the second half runs on a second thread meanwhile. Where OpenBLAS cannot
     be pinned, both halves run on the calling thread, with the same bytes.
-    A TrainingError names the 1-based iteration.
+    A TrainingError names pretraining and the 1-based iteration.
     """
     n = len(source)
     config = TrainConfig(iterations=budget)
@@ -517,7 +505,7 @@ def pretrain_extractor(
                 _, first_grad = loss_and_gradient(*halves[0])
                 _, second_grad = second.result()
             except TrainingError as exc:
-                raise TrainingError(f"iteration {step + 1}: {exc}") from exc
+                raise TrainingError(f"pretraining iteration {step + 1}: {exc}") from exc
             np.multiply(first_grad, cut / n, out=grad, dtype=np.float64)
             np.multiply(second_grad, (n - cut) / n, out=second_part, dtype=np.float64)
             adam_step(weights, np.add(grad, second_part, out=grad), state, config)

@@ -545,9 +545,9 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training(self, tmp_path, capsys):
-        """The message names where the run diverged, also from a worker process.
+        """The message names where the run diverged, also from a worker
+        process, and it is the only line: numpy warns of no overflow.
 
         Each arm runs alone: scratch trains the whole network, transfer its head.
         """
@@ -564,6 +564,7 @@ class TestConfigErrors:
                 ) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and "non-finite" in err
+                assert err.count("\n") == 1, err
                 for part in (f"arm {arm}", "k=2", "|M|=1", "trial 0", "member 1", "iteration"):
                     assert part in err, (workers, part, err)
 

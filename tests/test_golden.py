@@ -4,9 +4,10 @@ The calibration run is the same sweep with `ensemble_sizes = 1`; its
 `results.jsonl` keeps the digest that the removed `calibrate` subcommand's
 `calibration.jsonl` had. The CLI runs in a child process with one BLAS
 thread (bit-exact reruns hold only at a fixed BLAS thread count). Every
-pinned file must hash to its recorded SHA-256 digest, and each output
-directory must hold no other file (a leftover temp file fails). A change
-that alters any float must re-record these digests and say why.
+pinned file must hash to its recorded SHA-256 digest, each output
+directory must hold no other file (a leftover temp file fails), and each
+run must leave stderr empty. A change that alters any float must re-record
+these digests and say why.
 """
 
 import hashlib
@@ -21,27 +22,32 @@ from test_cli import TINY_INI
 SRC = Path(pairbag.__file__).resolve().parent.parent
 
 GOLDEN = {
-    "results.jsonl": "da2f53be43ece8a95e1660bf5df0b7a7389001b64fbcab779be7e680c48ed6a0",
-    "summary.csv": "fa83debed0411b1302afd811b53a6a51ac94201497857624e6b1ba43a4bc4b6d",
-    "report_cells.csv": "fa83debed0411b1302afd811b53a6a51ac94201497857624e6b1ba43a4bc4b6d",
+    "results.jsonl": "13d8bbfc9e9b5b16b8d8e570bc9ad4afb9438c855089b21f969e773d2fa86a3f",
+    "summary.csv": "e9ffdcfc8a23dc7ae0e1dad62cfa9ddfab3213854027d31ccdc34c0a6ad86768",
+    "report_cells.csv": "e9ffdcfc8a23dc7ae0e1dad62cfa9ddfab3213854027d31ccdc34c0a6ad86768",
     "report_improvements.csv": "80165f65bb51f6d28c5a6b3092166d0a2eaf1f9329e6e45406cb5e965e4a7f0f",
 }
 # results.jsonl of the sweep with ensemble_sizes = 1
-CALIBRATION_RESULTS = "b386b8b3f417e833bd20e442c1bb3b88303de407c4aa12fdc9ad77d4cd667905"
+CALIBRATION_RESULTS = "8aaca3fce9d12126932285d7647cff90839493071b396feecf950d93d25e7fed"
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_cli(*args: str) -> None:
+def cli_child(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pairbag.cli", *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+def run_cli(*args: str) -> None:
+    """A clean run: exit status 0 and nothing on stderr."""
+    proc = cli_child(*args)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_tiny_sweep_report_calibrate_digests(tmp_path):
@@ -59,3 +65,15 @@ def test_tiny_sweep_report_calibrate_digests(tmp_path):
     run_cli("sweep", "--config", str(config), "--out", str(calib))
     assert sha256(calib / "results.jsonl") == CALIBRATION_RESULTS
     assert sorted(p.name for p in calib.iterdir()) == ["results.jsonl", "summary.csv"]
+
+
+def test_pretraining_overflow_is_one_error_line(tmp_path):
+    """Source pairs inside float32's range whose first extractor layer
+    overflows: one error line naming pretraining, from the calling thread's
+    half and the pool thread's alike, and no numpy warning."""
+    config = tmp_path / "huge.ini"
+    config.write_text(TINY_INI.replace("separation = 6.0", "separation = 3e38"))
+    proc = cli_child("sweep", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: pretraining iteration 1: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr

@@ -14,7 +14,7 @@ import sys
 
 from test_golden import SRC
 
-PRETRAIN_SHA256 = "33c19b923d44e6a1d2699ea91df125e0311c5334dfa6a76131b24f1c60aaf4e7"
+PRETRAIN_SHA256 = "8a0a64efc950913d5d8c9b331dc109798eeed0c394d7715117c4d5431f699a42"
 
 CHILD = """
 import dataclasses, hashlib

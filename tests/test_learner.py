@@ -71,15 +71,11 @@ def oracle_extract(model, x):
     return acts
 
 
-def stacked_head_input(model, pre, post):
-    """[f(pre), f(post)] from one extractor pass over pre stacked over post."""
-    return np.hstack(np.split(oracle_extract(model, np.concatenate([pre, post]))[-1], 2))
-
-
 def oracle_loss_and_gradient(model, pre, post, targets):
     """Batch loss and gradient in straight-line code: the extractor runs on
-    the pre rows stacked over the post rows, and each layer's term, dz.T @ x
-    and the column sums of dz, is written into the gradient vector."""
+    the pairs' rows interleaved, pair i's pre row at 2i and its post row at
+    2i+1, and each layer's term, dz.T @ x and the column sums of dz, is
+    written into the gradient vector."""
     topology = model.topology
     n_ext = len(topology.extractor_sizes) - 1
     mats = oracle_layers(model)
@@ -91,9 +87,9 @@ def oracle_loss_and_gradient(model, pre, post, targets):
         gw[...] = dz.T @ x
         gb[...] = dz.sum(axis=0)
 
-    acts = oracle_extract(model, np.concatenate([pre, post]))
     n = pre.shape[0]
-    h = np.hstack(np.split(acts[-1], 2))
+    acts = oracle_extract(model, np.stack([pre, post], axis=1).reshape(2 * n, -1))
+    h = acts[-1].reshape(n, -1)
     (w1, b1), (w2, b2) = mats[n_ext:]
     r1 = np.maximum(h @ w1.T + b1, 0.0)
     scores = learner._sigmoid((r1 @ w2.T + b2)[:, 0])
@@ -102,8 +98,7 @@ def oracle_loss_and_gradient(model, pre, post, targets):
     set_term(n_ext + 1, dlogit, r1)
     dz1 = (dlogit @ w2) * (r1 > 0.0)
     set_term(n_ext, dz1, h)
-    f = topology.feature_size
-    da = np.concatenate([dz1 @ w1[:, :f], dz1 @ w1[:, f:]])
+    da = (dz1 @ w1).reshape(2 * n, -1)
     for li in range(n_ext - 1, -1, -1):
         dz = da * (acts[li + 1] > 0.0)
         set_term(li, dz, acts[li])
@@ -114,8 +109,8 @@ def oracle_loss_and_gradient(model, pre, post, targets):
 def two_branch_loss_and_gradient(model, pre, post, targets):
     """Batch loss and gradient with the branches apart, summed into a
     zero-filled vector: per layer += the head term, then the pre term, then
-    the post term. The stacked batch reorders these sums, so this reference
-    agrees with loss_and_gradient only to a tolerance."""
+    the post term. The interleaved batch reorders these sums, so this
+    reference agrees with loss_and_gradient only to a tolerance."""
     topology = model.topology
     n_ext = len(topology.extractor_sizes) - 1
     mats = oracle_layers(model)
@@ -218,6 +213,13 @@ class TestForward:
             n = int(rng.integers(1, 8))
             pre = rng.standard_normal((n, d))
             post = rng.standard_normal((n, d))
+            np.testing.assert_allclose(
+                forward(model, pre, post), oracle_forward(model, pre, post), atol=1e-12
+            )
+        # Past one 512-pair block of head_input, the last one partial.
+        for n in (513, 1100):
+            model = init_scratch(random_topology(rng), int(rng.integers(1 << 30)))
+            pre, post = rng.standard_normal((2, n, model.topology.input_dim))
             np.testing.assert_allclose(
                 forward(model, pre, post), oracle_forward(model, pre, post), atol=1e-12
             )
@@ -409,23 +411,20 @@ class TestFineTune:
         return trained.weights, got_trace, weights, np.array(trace)
 
     def test_transfer_mode_matches_full_vector_training_bytewise(self):
-        """Where head_input's per-branch extractor passes give the stacked
-        batch's bytes, as on these 10 pairs, head-only training gives the
-        full-vector loop's bytes."""
+        """head_input computes the features of loss_and_gradient's batch, so
+        head-only training gives the full-vector loop's bytes."""
         got, got_trace, want, trace = self.transfer_and_full_vector((4, 8, 4), 8, 10)
         assert np.array_equal(got, want)
         assert np.array_equal(got_trace, trace)
 
-    @pytest.mark.parametrize("n", [1, 10, 11])
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1984])
     def test_transfer_mode_matches_full_vector_training_at_default_widths(self, n):
-        """The stacked batch is one gemm over 2n rows, which can round
-        differently from head_input's two n-row gemms: at the default widths
-        the features differ in the last bit at these row counts (up to
-        2.7e-15 at n=11). The weights and the trace must stay within 1e-13
-        of their largest magnitude; they read up to 1.5e-15."""
+        """The same bytes at the default widths: at 1, 10 and 11 pairs,
+        extracting each branch alone rounded differently from the one batch
+        of both, and 1,984 pairs span four of head_input's blocks."""
         got, got_trace, want, trace = self.transfer_and_full_vector((16, 128, 64), 128, n)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(got_trace - trace).max() <= 1e-13 * trace.max()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_trace, trace)
 
     def test_scratch_mode_moves_extractor(self):
         ds = separable_dataset()
@@ -525,10 +524,8 @@ class TestGradientAssembly:
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 100])
     def test_matches_straight_line_oracle_bytewise(self, n):
         """Both gradients give the oracle's loss and gradient bytes: fresh,
-        through a reused workspace, and over the head slice alone, given the
-        stacked batch's head input. (head_input extracts each branch alone,
-        which at some row counts differs from the stacked batch in the last
-        bit.)"""
+        through a reused workspace, and over the head slice alone, given
+        head_input's features."""
         rng = np.random.default_rng(100 + n)
         for t in self.topologies(rng):
             work = Workspace(t, n)
@@ -537,7 +534,7 @@ class TestGradientAssembly:
                 pre, post = rng.standard_normal((2, n, t.input_dim))
                 targets = smooth_target(rng.integers(0, 2, n), 0.1)
                 want_loss, want = oracle_loss_and_gradient(model, pre, post, targets)
-                h = stacked_head_input(model, pre, post)
+                h = head_input(model, pre, post)
                 head = want[t.extractor_param_count :]
                 for got_loss, got in (
                     loss_and_gradient(model, pre, post, targets),
@@ -552,7 +549,7 @@ class TestGradientAssembly:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1984])
     def test_agrees_with_two_branch_sums(self, n):
-        """Stacking the branches only reorders the extractor's gradient sums:
+        """Interleaving the branches only reorders the extractor's gradient sums:
         every entry stays within 1e-13 * max|g| of the two-branch reference,
         and the loss within 1e-14 relative."""
         rng = np.random.default_rng(200 + n)
@@ -792,5 +789,5 @@ class TestPretraining:
             return real(*args)
 
         monkeypatch.setattr(learner, "loss_and_gradient", broken_third_call)
-        with pytest.raises(TrainingError, match="^iteration 2: non-finite gradient$"):
+        with pytest.raises(TrainingError, match="^pretraining iteration 2: non-finite gradient$"):
             pretrain_extractor(source, t, 5, 21)
