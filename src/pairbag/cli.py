@@ -24,13 +24,13 @@ from pairbag.data import generate_synthetic, save_manifest
 from pairbag.harness import (
     ImprovementRow,
     SweepSummary,
-    _synthetic_spec,
     build_spec,
     load_config,
     load_reports_jsonl,
     rows_csv,
     run_experiment,
     summarize,
+    synthetic_spec,
     write_atomic,
     write_reports_jsonl,
     write_summary_csv,
@@ -102,7 +102,7 @@ def _print_summary(summary: SweepSummary) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    dataset = generate_synthetic(_synthetic_spec(load_config(args.config), args.seed))
+    dataset = generate_synthetic(synthetic_spec(load_config(args.config), args.seed))
     manifest = save_manifest(dataset, args.out)
     print(
         f"wrote {len(dataset)} pairs ({len(dataset.positives)} positive, "

@@ -15,7 +15,6 @@ import numpy as np
 
 from pairbag.data import KShotDraw, PairDataset
 from pairbag.learner import (
-    ARMS,
     BaseModel,
     SiameseTopology,
     TrainingError,
@@ -60,7 +59,6 @@ def train_ensemble(
     assignment: ChunkAssignment,
     config: TrainConfig,
     topology: SiameseTopology,
-    mode: str = "scratch",
     pretrained: BaseModel | None = None,
     on_member: Callable[[BaseModel], object] | None = None,
 ) -> Ensemble:
@@ -68,18 +66,15 @@ def train_ensemble(
 
     Model i (1-based) is trained on the k-shot positives plus chunk
     assignment.assigned[i-1], initialized from derive_seed(config.seed, i)
-    so members differ only through their seed path and their chunk. A
-    TrainingError names the member (1-based) that diverged. on_member, if
-    given, gets each model as soon as it is trained, in member order.
+    so members differ only through their seed path and their chunk. Given
+    `pretrained`, members are transfer models over its extractor, else
+    scratch. A TrainingError names the member (1-based) that diverged.
+    on_member, if given, gets each model as soon as it is trained, in member order.
     """
-    if mode not in ARMS:
-        raise ValueError(f"mode must be one of {ARMS}, got {mode!r}")
-    if mode == "transfer" and pretrained is None:
-        raise ValueError("transfer mode requires a pretrained extractor")
     models = []
     for i in range(1, assignment.model_count + 1):
         model_seed = derive_seed(config.seed, i)
-        if mode == "scratch":
+        if pretrained is None:
             init = init_scratch(topology, model_seed)
         else:
             init = init_transfer(topology, pretrained, model_seed)

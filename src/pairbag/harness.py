@@ -41,9 +41,9 @@ from pairbag.learner import (
     BaseModel,
     SiameseTopology,
     TrainingError,
-    _run_now,
     head_input,
     pretrain_extractor,
+    run_now,
 )
 from pairbag.optimize import TrainConfig
 from pairbag.partition import assign_chunks, base_training_set, make_chunk_plan
@@ -97,7 +97,6 @@ class ExperimentSpec:
         object.__setattr__(self, "k_shots", tuple(int(k) for k in self.k_shots))
         object.__setattr__(self, "ensemble_sizes", tuple(int(m) for m in self.ensemble_sizes))
         object.__setattr__(self, "arms", tuple(self.arms))
-        object.__setattr__(self, "extractor_hidden", tuple(int(h) for h in self.extractor_hidden))
         object.__setattr__(
             self, "budgets", tuple((a, int(k), int(b)) for a, k, b in self.budgets)
         )
@@ -119,6 +118,9 @@ class ExperimentSpec:
             raise ValueError(f"extractor_hidden must be positive, got {self.extractor_hidden}")
         if self.head_hidden < 1:
             raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
+        widths = self.topology(1)  # integer widths, or ValueError naming them
+        object.__setattr__(self, "extractor_hidden", widths.extractor_sizes[1:])
+        object.__setattr__(self, "head_hidden", widths.head_hidden)
         for name in ("arms", "k_shots", "ensemble_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -218,7 +220,7 @@ def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]
     return tuple(sorted((*_budget_key(key), _read(budgets, key, int)) for key in budgets))
 
 
-def _synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
+def synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
     data = cfg["data"]
     return SyntheticSpec(
         d=_read(data, "d", int),
@@ -240,7 +242,7 @@ def build_spec(
     master_seed = _seed(cfg, seed)
     manifest = _read(cfg["data"], "manifest").strip()
     return ExperimentSpec(
-        source=manifest if manifest else _synthetic_spec(cfg, master_seed),
+        source=manifest if manifest else synthetic_spec(cfg, master_seed),
         k_shots=_read(exp, "k_shots", _int_list),
         ensemble_sizes=_read(exp, "ensemble_sizes", _int_list),
         arms=_read(exp, "arms", _str_list),
@@ -607,15 +609,15 @@ def run_trial(
     hidden = None if features is None else np.empty((len(test), spec.head_hidden))
     scored: list[Future] = []
     with ThreadPoolExecutor(max_workers=1) as scorer:
-        submit = scorer.submit if _WORKER_CTX is None and m > 1 else _run_now
+        submit = scorer.submit if _WORKER_CTX is None and m > 1 else run_now
 
         def score(model):
             scored.append(submit(member_scores, (model,), test.pre, test.post, features, hidden))
 
         try:
-            train_ensemble(context.train, draw, plan, assignment, config, mode=arm,
-                           topology=spec.topology(context.train.dim),
-                           pretrained=context.pretrained, on_member=score)
+            train_ensemble(context.train, draw, plan, assignment, config,
+                           topology=spec.topology(context.train.dim), on_member=score,
+                           pretrained=context.pretrained if arm == "transfer" else None)
         except TrainingError as exc:
             raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
 

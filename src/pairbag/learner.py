@@ -14,6 +14,7 @@ large-corpus pretraining.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,12 +44,17 @@ class SiameseTopology:
     head_hidden: int
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.extractor_sizes)
+        widths = (*self.extractor_sizes, self.head_hidden)
+        try:
+            *sizes, head_hidden = map(operator.index, widths)
+        except TypeError:
+            raise ValueError(f"layer widths {widths} must be integers") from None
         if len(sizes) < 2:
             raise ValueError("extractor needs at least input and feature sizes")
-        if any(s < 1 for s in sizes) or self.head_hidden < 1:
+        if any(s < 1 for s in sizes) or head_hidden < 1:
             raise ValueError("all layer sizes must be >= 1")
-        object.__setattr__(self, "extractor_sizes", sizes)
+        object.__setattr__(self, "extractor_sizes", tuple(sizes))
+        object.__setattr__(self, "head_hidden", head_hidden)
 
     @property
     def input_dim(self) -> int:
@@ -151,20 +157,27 @@ def _head(layers: list, h: np.ndarray, r1: np.ndarray | None = None):
     return _sigmoid((r1 @ w2.T + b2)[:, 0]), r1
 
 
+def _check_batch(topology: SiameseTopology, pre, post, targets=None) -> int:
+    """n, for nonempty (n, d) arrays pre and post and, when given, n targets;
+    any other batch raises ValueError."""
+    shape, d = pre.shape, topology.input_dim
+    if len(shape) != 2 or shape[1] != d or post.shape != shape or not shape[0]:
+        raise ValueError(f"pair batch {shape} / {post.shape}: need nonempty (n, input dim {d})")
+    if targets is not None and np.shape(targets) != shape[:1]:
+        raise ValueError(f"targets of shape {np.shape(targets)} for {shape[0]} pairs")
+    return shape[0]
+
+
 def head_input(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     """loss_and_gradient's head input [f(pre), f(post)] of n pairs, shape (n, 2f).
 
-    pre and post are (n, d) batches; any other shape raises ValueError.
+    pre and post are (n, d) batches with n >= 1; anything else raises ValueError.
     """
     pre = np.asarray(pre, dtype=np.float64)
     post = np.asarray(post, dtype=np.float64)
-    d = model.topology.input_dim
-    if pre.ndim != 2 or pre.shape[1] != d or post.shape != pre.shape:
-        raise ValueError(
-            f"pair batch shapes {pre.shape} / {post.shape} are not (n, input dim {d})"
-        )
+    n = _check_batch(model.topology, pre, post)
     layers = _unpack(model.extractor_weights, model.topology.layer_shapes()[:-2])
-    n, f = pre.shape[0], model.topology.feature_size
+    d, f = model.topology.input_dim, model.topology.feature_size
     h = np.empty((n, 2 * f))
     # 512 pairs at a time, so that a large test set's hidden layers stay small.
     for start in range(0, n, 512):
@@ -185,7 +198,7 @@ def head_scores(
 def forward(model: BaseModel, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     """Scores in (0, 1) of n pairs; both branches share the extractor weights.
 
-    pre and post are (n, d) batches; any other shape raises ValueError.
+    pre and post are (n, d) batches with n >= 1; anything else raises ValueError.
     """
     return head_scores(model.head_weights, model.topology, head_input(model, pre, post))
 
@@ -200,14 +213,12 @@ class Workspace:
 
     A call given a workspace writes into these buffers and returns `grad`,
     so the next call with the same workspace overwrites that gradient. The
-    buffers hold `dtype`; a workspace of any dtype but float64 also holds a
-    copy of the weights in that dtype, which loss_and_gradient refreshes
-    from the model's float64 weights on each call.
+    buffers hold `dtype`, the dtype the call computes in; the weights are
+    the model's, which loss_and_gradient casts to it where it reads them.
     """
 
     def __init__(self, topology: SiameseTopology, n: int, dtype=np.float64) -> None:
         self.topology, self.n = topology, n
-        dtype = np.dtype(dtype)
         ext = topology.extractor_sizes[1:]
         # One extractor batch: row 2i is pair i's pre vector, row 2i+1 its post.
         self.x = np.empty((2 * n, topology.input_dim), dtype)
@@ -224,15 +235,6 @@ class Workspace:
         # Each layer's gradient term is written into its view of grad.
         self.grad = np.empty(topology.param_count, dtype)
         self.g_layers = _unpack(self.grad, topology.layer_shapes())
-        self.weights = None if dtype == np.float64 else np.empty(topology.param_count, dtype)
-
-    def layers(self, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) views per layer of the flat float64 `weights`, or of this
-        workspace's own copy of them in its dtype."""
-        if self.weights is not None:
-            np.copyto(self.weights, weights)
-            weights = self.weights
-        return _unpack(weights, self.topology.layer_shapes())
 
     def check(self, topology: SiameseTopology, n: int) -> None:
         """Raise ValueError unless this workspace was built for (topology, n)."""
@@ -308,6 +310,7 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE over the batch and its analytic gradient.
 
+    pre and post are nonempty (n, d) arrays and targets (n,), or ValueError.
     The extractor runs once on 2n rows, pair i's pre row at 2i and its post
     row at 2i+1: each weight gradient is one product over both branches, and
     its output viewed as (n, 2f) is the head input. Raises TrainingError on
@@ -315,16 +318,16 @@ def loss_and_gradient(
     warnings would only repeat, so those are off in every calling thread.
 
     `work` holds every intermediate; without it a fresh float64 Workspace
-    is built. The gradient returned is work.grad, in the workspace's dtype:
-    the next call with the same workspace overwrites it. A workspace built
-    for another topology or row count raises ValueError.
+    is built. The pass runs in its dtype, on the model's weights cast to it,
+    and returns work.grad: the next call with the same workspace overwrites
+    it. A workspace built for another topology or row count raises ValueError.
     """
     topology = model.topology
-    n = pre.shape[0]
+    n = _check_batch(topology, pre, post, targets)
     if work is None:
         work = Workspace(topology, n)
     work.check(topology, n)
-    layers = work.layers(model.weights)
+    layers = _unpack(model.weights.astype(work.grad.dtype, copy=False), topology.layer_shapes())
     n_ext = len(topology.extractor_sizes) - 1
     ext, acts, masks = layers[:n_ext], work.acts, work.masks
     np.copyto(work.x[0::2], pre)
@@ -346,7 +349,7 @@ def loss_and_gradient(
     return mean_loss, _finite(work.grad)
 
 
-def _run_now(fn, *args) -> Future:
+def run_now(fn, *args) -> Future:
     """fn(*args) run here and now, as a finished Future."""
     done = Future()
     done.set_result(fn(*args))
@@ -466,17 +469,19 @@ def pretrain_extractor(
     The source dataset must be disjoint from any evaluation data; with
     budget 0 the model equals its scratch initialization. Each step's
     gradient is the row-weighted mean of the gradients of the source's first
-    and second halves (a PairDataset holds both classes, so neither half is
-    empty), each with its own Workspace. The halves' forward and backward
-    passes run in float32 on a float32 copy of the weights; their mean, the
-    weights and Adam's moments stay float64. A source that does not fit
-    float32's range raises ValueError before the first step. BLAS runs one
+    and second halves, each with its own Workspace, so a source of fewer
+    than 2 pairs raises ValueError. The halves' forward and backward passes
+    run in float32 on the weights cast to float32; their mean, the weights
+    and Adam's moments stay float64. A source that does not fit float32's
+    range raises ValueError before the first step. BLAS runs one
     thread, whatever the caller's count, which is restored on return, and
     the second half runs on a second thread meanwhile. Where OpenBLAS cannot
     be pinned, both halves run on the calling thread, with the same bytes.
     A TrainingError names pretraining and the 1-based iteration.
     """
     n = len(source)
+    if n < 2:
+        raise ValueError(f"pretraining needs >= 2 source pairs, one per half; got {n}")
     config = TrainConfig(iterations=budget)
     # Allocated first and returned as the model's weights: a final copy
     # would sit in the heap above the freed halves' buffers.
@@ -498,7 +503,7 @@ def pretrain_extractor(
     grad, second_part = np.empty(weights.size), np.empty(weights.size)
     state = AdamState.zeros(weights.size)
     with blas.one_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
-        submit = pool.submit if pinned else _run_now
+        submit = pool.submit if pinned else run_now
         for step in range(budget):
             try:
                 second = submit(loss_and_gradient, *halves[1])

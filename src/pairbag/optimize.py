@@ -89,20 +89,13 @@ def loss(score, target):
 def gradient(model, batch, config: TrainConfig) -> np.ndarray:
     """Mean gradient of the smoothed loss over a batch, flat like the weights.
 
-    `batch` is a (pre, post, labels) triple of arrays. Raises if the batch
-    is empty or any intermediate is non-finite.
+    `batch` is (pre, post, labels): nonempty (n, d) pairs with one label each,
+    else ValueError; a non-finite intermediate raises TrainingError.
     """
     from pairbag.learner import loss_and_gradient  # deferred: learner imports optimize
 
-    pre, post, labels = batch
-    pre = np.atleast_2d(np.asarray(pre, dtype=np.float64))
-    post = np.atleast_2d(np.asarray(post, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
-    if pre.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    targets = smooth_target(labels, config.alpha)
-    _, grad = loss_and_gradient(model, pre, post, targets)
-    return grad
+    pre, post, labels = (np.asarray(a) for a in batch)
+    return loss_and_gradient(model, pre, post, smooth_target(labels, config.alpha))[1]
 
 
 def adam_step(

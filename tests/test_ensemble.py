@@ -100,27 +100,22 @@ class TestTrainEnsemble:
         for ma, mb in zip(a.models, b.models):
             np.testing.assert_array_equal(ma.weights, mb.weights)
 
-    def test_rejects_unknown_mode(self):
+    def test_pretrained_selects_the_transfer_arm(self):
+        """Members are transfer models over the pretrained extractor exactly
+        when `pretrained` is given, and scratch models otherwise."""
         ds = dataset()
+        t = small_topology(ds.dim)
+        pretrained = init_scratch(t, 99)
         draw = draw_k_shot(ds, 3, 0)
         plan = make_chunk_plan(ds, 3, 1)
         assignment = assign_chunks(plan, 2, 2)
-        with pytest.raises(ValueError, match="mode must be"):
-            train_ensemble(
-                ds, draw, plan, assignment, TrainConfig(iterations=1), small_topology(),
-                mode="bagged",
-            )
-
-    def test_transfer_requires_pretrained(self):
-        ds = dataset()
-        draw = draw_k_shot(ds, 3, 0)
-        plan = make_chunk_plan(ds, 3, 1)
-        assignment = assign_chunks(plan, 2, 2)
-        with pytest.raises(ValueError, match="pretrained"):
-            train_ensemble(
-                ds, draw, plan, assignment, TrainConfig(iterations=1), small_topology(),
-                mode="transfer",
-            )
+        cfg = TrainConfig(iterations=2)
+        transfer = train_ensemble(ds, draw, plan, assignment, cfg, t, pretrained=pretrained)
+        scratch = train_ensemble(ds, draw, plan, assignment, cfg, t)
+        for model in transfer.models:
+            assert model.init_mode == "transfer"
+            assert model.extractor_weights.tobytes() == pretrained.extractor_weights.tobytes()
+        assert all(model.init_mode == "scratch" for model in scratch.models)
 
 
 class TestPrediction:

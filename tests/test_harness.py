@@ -166,6 +166,10 @@ class TestExperimentSpec:
             dataclasses.replace(spec, extractor_hidden=(6, 0))
         with pytest.raises(ValueError, match="head_hidden must be >= 1, got -5"):
             dataclasses.replace(spec, head_hidden=-5)
+        with pytest.raises(ValueError, match=r"\(1, 6, 4\.5, 8\) must be integers"):
+            dataclasses.replace(spec, extractor_hidden=(6, 4.5), head_hidden=8)
+        with pytest.raises(ValueError, match=r"4\.0\) must be integers"):
+            dataclasses.replace(spec, head_hidden=4.0)
 
 
 class TestSplit:

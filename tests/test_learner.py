@@ -172,6 +172,16 @@ class TestSiameseTopology:
         with pytest.raises(ValueError, match=">= 1"):
             SiameseTopology(extractor_sizes=(4, 0, 2), head_hidden=2)
 
+    def test_widths_must_be_integers(self):
+        """A fractional width is rejected, not truncated; an integral float
+        is rejected too, and numpy integers become ints."""
+        with pytest.raises(ValueError, match=r"layer widths \(3, 4\.5, 2, 4\) must be integers"):
+            SiameseTopology(extractor_sizes=(3, 4.5, 2), head_hidden=4)
+        with pytest.raises(ValueError, match=r"\(3, 4, 2, 4\.0\) must be integers"):
+            SiameseTopology(extractor_sizes=(3, 4, 2), head_hidden=4.0)
+        t = SiameseTopology(extractor_sizes=np.array([3, 4, 2]), head_hidden=np.int64(4))
+        assert t.extractor_sizes == (3, 4, 2) and type(t.head_hidden) is int
+
 
 class TestBaseModel:
     def test_weight_slices_partition_the_vector(self):
@@ -562,6 +572,21 @@ class TestGradientAssembly:
             assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_gradient_batch_contract(self):
+        """loss_and_gradient takes nonempty (n, d) pairs with one target each:
+        broadcastable targets, a 1-D pair and an empty batch are all rejected."""
+        rng = np.random.default_rng(6)
+        model = init_scratch(random_topology(rng), 8)
+        d = model.topology.input_dim
+        pre, post = rng.standard_normal((2, 5, d))
+        for targets in (np.full(1, 0.5), np.full(4, 0.5), np.full((5, 1), 0.5)):
+            with pytest.raises(ValueError, match="for 5 pairs"):
+                loss_and_gradient(model, pre, post, targets)
+        with pytest.raises(ValueError, match="input dim"):
+            loss_and_gradient(model, pre[0], post[0], np.full(1, 0.5))
+        with pytest.raises(ValueError, match="nonempty"):
+            loss_and_gradient(model, pre[:0], post[:0], np.full(0, 0.5))
+
 
 class TestWorkspace:
     def batch(self, rng, t, n):
@@ -706,6 +731,12 @@ class TestPretrainingThreads:
 
 
 class TestPretraining:
+    def test_rejects_a_source_of_one_pair(self):
+        source = PairDataset(pre=np.zeros((1, 4)), post=np.ones((1, 4)), labels=[0])
+        t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)
+        with pytest.raises(ValueError, match=">= 2 source pairs, one per half; got 1"):
+            pretrain_extractor(source, t, 3, 21)
+
     def test_budget_zero_equals_scratch_init(self):
         source = separable_dataset(n_pos=10, n_neg=10, seed=4)
         t = SiameseTopology(extractor_sizes=(4, 8, 4), head_hidden=8)

@@ -195,6 +195,18 @@ class TestGradient:
         )
         np.testing.assert_allclose(twice, once, rtol=1e-10, atol=1e-14)
 
+    def test_rejects_a_batch_that_is_not_n_pairs_with_n_labels(self):
+        """One label for 5 pairs would broadcast to every pair, and a 1-D pair
+        is not the (1, d) batch that forward takes."""
+        rng = np.random.default_rng(3)
+        model = random_model(rng)
+        pre, post, labels = batch_for(model, rng, 5)
+        cfg = TrainConfig(iterations=1)
+        with pytest.raises(ValueError, match="for 5 pairs"):
+            gradient(model, (pre, post, labels[:1]), cfg)
+        with pytest.raises(ValueError, match="input dim"):
+            gradient(model, (pre[0], post[0], labels[0]), cfg)
+
     def test_rejects_empty_batch(self):
         rng = np.random.default_rng(2)
         model = random_model(rng)
