@@ -18,6 +18,7 @@ import itertools
 import json
 import logging
 import os
+import typing
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -70,12 +71,13 @@ class LeakageError(AssertionError):
 class ExperimentSpec:
     """Everything needed to rerun an experiment bit-for-bit.
 
-    Its defaults live in default.ini; build_spec reads them. source is a
+    Its defaults live in default.ini, whose [model] and [experiment] keys
+    fill the fields of their names; build_spec reads them. source is a
     SyntheticSpec or a manifest path. train holds both arms' hyperparameters;
     its iterations and seed are set per trial. extractor_hidden are the
     extractor's hidden widths between the input and feature layers; budgets
-    are (arm, k, iterations) triples, looked up by nearest k per arm, and
-    every arm in arms needs one.
+    are (arm, k, iterations) triples, one per (arm, k), looked up by nearest
+    k per arm, and every arm in arms needs one.
     """
 
     source: SyntheticSpec | str
@@ -125,12 +127,14 @@ class ExperimentSpec:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}")
-        for arm, k, iterations in self.budgets:
+        for i, (arm, k, iterations) in enumerate(self.budgets):
             if arm not in ARMS or k < 1 or iterations < 0:
                 raise ValueError(
                     f"bad budget {arm}_{k} = {iterations}: need an arm in {ARMS}, "
                     "k >= 1 and iterations >= 0"
                 )
+            if (arm, k) in [row[:2] for row in self.budgets[:i]]:
+                raise ValueError(f"duplicate budget {arm}_{k}: one per arm {arm} and k={k}")
         for arm in self.arms:
             if all(row[0] != arm for row in self.budgets):
                 raise ValueError(f"no iteration budgets for arm {arm!r}")
@@ -202,6 +206,10 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# The parser of each field type a config key fills.
+_PARSERS = {int: int, float: float, tuple[int, ...]: _int_list, tuple[str, ...]: _str_list}
+
+
 def _read(section: configparser.SectionProxy, key: str, parse=str):
     """section[key] through parse; a parse error names the section and key."""
     try:
@@ -210,9 +218,10 @@ def _read(section: configparser.SectionProxy, key: str, parse=str):
         raise ValueError(f"[{section.name}] {key}: {exc}") from None
 
 
-def _seed(cfg: configparser.ConfigParser, seed: int | None) -> int:
-    """The flag's seed when given, else the config's [experiment] seed."""
-    return seed if seed is not None else _read(cfg["experiment"], "seed", int)
+def _fields(section: configparser.SectionProxy, cls, skip: str = "") -> dict:
+    """Each key of section but skip, parsed by the type of cls's field of its name."""
+    hints = typing.get_type_hints(cls)
+    return {key: _read(section, key, _PARSERS[hints[key]]) for key in section if key != skip}
 
 
 def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]:
@@ -221,48 +230,26 @@ def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]
 
 
 def synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
-    data = cfg["data"]
-    return SyntheticSpec(
-        d=_read(data, "d", int),
-        n_pos=_read(data, "n_pos", int),
-        n_neg=_read(data, "n_neg", int),
-        separation=_read(data, "separation", float),
-        noise_scale=_read(data, "noise_scale", float),
-        seed=_seed(cfg, seed),
-    )
+    """[data]'s SyntheticSpec, seeded by the flag's seed when given, else by
+    [experiment] seed, which is parsed either way."""
+    fields = _fields(cfg["data"], SyntheticSpec, "manifest")
+    parsed = _read(cfg["experiment"], "seed", int)
+    return SyntheticSpec(**fields, seed=parsed if seed is None else seed)
 
 
 def build_spec(
-    cfg: configparser.ConfigParser,
-    seed: int | None = None,
-    trials: int | None = None,
+    cfg: configparser.ConfigParser, seed: int | None = None, trials: int | None = None
 ) -> ExperimentSpec:
-    """Translate an INI config (plus flag overrides) into an ExperimentSpec."""
-    exp, train, model = cfg["experiment"], cfg["train"], cfg["model"]
-    master_seed = _seed(cfg, seed)
+    """Translate an INI config into an ExperimentSpec; a flag given as seed or
+    trials replaces the config's value once that has been parsed."""
+    fields = _fields(cfg["model"], ExperimentSpec) | _fields(cfg["experiment"], ExperimentSpec)
+    fields |= {key: flag for key, flag in (("seed", seed), ("trials", trials)) if flag is not None}
     manifest = _read(cfg["data"], "manifest").strip()
     return ExperimentSpec(
-        source=manifest if manifest else synthetic_spec(cfg, master_seed),
-        k_shots=_read(exp, "k_shots", _int_list),
-        ensemble_sizes=_read(exp, "ensemble_sizes", _int_list),
-        arms=_read(exp, "arms", _str_list),
-        trials=trials if trials is not None else _read(exp, "trials", int),
-        test_fraction=_read(exp, "test_fraction", float),
-        seed=master_seed,
-        train=TrainConfig(
-            iterations=0,
-            learning_rate=_read(train, "learning_rate", float),
-            alpha=_read(train, "alpha", float),
-            adam_beta1=_read(train, "adam_beta1", float),
-            adam_beta2=_read(train, "adam_beta2", float),
-            adam_eps=_read(train, "adam_eps", float),
-        ),
+        source=manifest if manifest else synthetic_spec(cfg, fields["seed"]),
+        train=TrainConfig(iterations=0, **_fields(cfg["train"], TrainConfig)),
         budgets=_budgets(cfg),
-        extractor_hidden=_read(model, "extractor_hidden", _int_list),
-        head_hidden=_read(model, "head_hidden", int),
-        pretrain_budget=_read(exp, "pretrain_budget", int),
-        source_size=_read(exp, "source_size", int),
-        source_tasks=_read(exp, "source_tasks", int),
+        **fields,
     )
 
 

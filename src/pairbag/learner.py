@@ -288,14 +288,20 @@ def head_loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean smoothed-target BCE of head inputs h and its gradient over `head`:
     the head slice of loss_and_gradient's for an extractor that maps the
-    batch to h. Raises TrainingError on non-finite intermediates.
+    batch to h. h is a nonempty (n, 2f) array and targets (n,), or
+    ValueError. Raises TrainingError on non-finite intermediates.
 
     With `work` (built for this topology and h's row count) the gradient
     returned is a view of work.grad, overwritten by the next call with it.
     """
+    shape, width = np.shape(h), 2 * topology.feature_size
+    if len(shape) != 2 or shape[1] != width or not shape[0]:
+        raise ValueError(f"head input {shape}: need nonempty (n, 2 * feature size {width})")
+    if np.shape(targets) != shape[:1]:
+        raise ValueError(f"targets of shape {np.shape(targets)} for {shape[0]} pairs")
     if work is None:
-        work = Workspace(topology, h.shape[0])
-    work.check(topology, h.shape[0])
+        work = Workspace(topology, shape[0])
+    work.check(topology, shape[0])
     mean_loss = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
     return mean_loss, _finite(work.grad[topology.extractor_param_count :])
 

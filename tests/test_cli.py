@@ -516,6 +516,44 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -5")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, key, flag",
+        [("sweep", "trials", "3"), ("sweep", "seed", "1"), ("generate", "seed", "1")],
+    )
+    def test_flag_does_not_hide_a_junk_config_value(
+        self, tmp_path, capsys, monkeypatch, subcommand, key, flag
+    ):
+        """A flag replaces the file's value only after that has been parsed."""
+
+        def no_data(*args):
+            raise AssertionError("built data for an unparsable config")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        monkeypatch.setattr(cli, "generate_synthetic", no_data)
+        path = tmp_path / "junk.ini"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = abc", TINY_INI, flags=re.M))
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", str(path), "--out", str(out), f"--{key}", flag]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [experiment] {key}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_duplicate_budget_is_rejected(self, tmp_path, capsys, monkeypatch):
+        """scratch_002 and scratch_2 name one (arm, k): a second row is an error."""
+
+        def no_pretraining(*args):
+            raise AssertionError("pretrained an extractor for a spec with two budgets")
+
+        monkeypatch.setattr(harness, "pretrain_extractor", no_pretraining)
+        path = tmp_path / "twice.ini"
+        path.write_text(TINY_INI.replace("scratch_2 = 5", "scratch_2 = 5\nscratch_002 = 7"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate budget scratch_2: one per arm scratch and k=2\n"
+        assert not out.exists()
+
     def test_more_source_tasks_than_source_pairs(self, tmp_path, capsys, monkeypatch):
         def no_pretraining(*args):
             raise AssertionError("pretrained an extractor on fewer rows than configured")

@@ -111,6 +111,13 @@ class TestExperimentSpec:
         )
         assert spec.iteration_budget("scratch", 15) == 7
 
+    def test_duplicate_budget_errors(self):
+        """Two budgets for one (arm, k) are an error, whichever is listed first."""
+        spec = default_benchmark()
+        for extra in (("scratch", 5, 200), ("scratch", 5, 7)):
+            with pytest.raises(ValueError, match="duplicate budget scratch_5: one per arm"):
+                dataclasses.replace(spec, budgets=spec.budgets + (extra,))
+
     def test_budget_missing_arm_errors(self):
         with pytest.raises(ValueError, match="no iteration budgets for arm 'transfer'"):
             dataclasses.replace(default_benchmark(), budgets=(("scratch", 5, 7),))

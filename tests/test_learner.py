@@ -587,6 +587,21 @@ class TestGradientAssembly:
         with pytest.raises(ValueError, match="nonempty"):
             loss_and_gradient(model, pre[:0], post[:0], np.full(0, 0.5))
 
+    def test_head_gradient_batch_contract(self):
+        """head_loss_and_gradient takes nonempty (n, 2f) head inputs with one
+        target each: broadcastable targets, a wrong width, a 1-D row and an
+        empty batch are all rejected."""
+        rng = np.random.default_rng(7)
+        model = init_scratch(random_topology(rng), 8)
+        t, head = model.topology, model.head_weights
+        h = head_input(model, *rng.standard_normal((2, 5, t.input_dim)))
+        for targets in (np.full(1, 0.95), np.full(4, 0.5), np.full((5, 1), 0.5)):
+            with pytest.raises(ValueError, match="for 5 pairs"):
+                head_loss_and_gradient(head, t, h, targets)
+        for bad in (h[:, 1:], h[0], h[:0]):
+            with pytest.raises(ValueError, match=r"need nonempty \(n, 2 \* feature size"):
+                head_loss_and_gradient(head, t, bad, np.full(len(bad), 0.5))
+
 
 class TestWorkspace:
     def batch(self, rng, t, n):
@@ -640,7 +655,7 @@ class TestWorkspace:
 
 class TestFloat32Workspace:
     """A float32 workspace computes pretraining's forward and backward pass
-    in float32 on its own copy of the float64 weights."""
+    in float32, on the model's float64 weights cast to float32 at each call."""
 
     # Fixed from float32's unit roundoff before measuring: the inputs and
     # weights are rounded once, and each product and sum of up to 2n rows
