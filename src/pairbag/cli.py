@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
-from pairbag.data import generate_synthetic, save_manifest
+from pairbag.data import generate_synthetic, save_manifest, write_atomic
 from pairbag.harness import (
     ImprovementRow,
     SweepSummary,
@@ -30,8 +30,6 @@ from pairbag.harness import (
     rows_csv,
     run_experiment,
     summarize,
-    synthetic_spec,
-    write_atomic,
     write_reports_jsonl,
     write_summary_csv,
 )
@@ -102,7 +100,10 @@ def _print_summary(summary: SweepSummary) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    dataset = generate_synthetic(synthetic_spec(load_config(args.config), args.seed))
+    cfg = load_config(args.config)
+    # generate writes [data]'s pairs, also for a config that names a manifest.
+    cfg["data"]["manifest"] = ""
+    dataset = generate_synthetic(build_spec(cfg, seed=args.seed).source)
     manifest = save_manifest(dataset, args.out)
     print(
         f"wrote {len(dataset)} pairs ({len(dataset.positives)} positive, "

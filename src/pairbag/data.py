@@ -334,22 +334,41 @@ def _repeat_error(pairs: np.ndarray) -> ManifestError | None:
     )
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through `<name>.tmp` beside it and a rename.
+
+    path holds either its old bytes or all of the new ones; on failure the
+    temp file is removed and the error propagates.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_manifest(dataset: PairDataset, out_dir: str | Path) -> Path:
     """Export a dataset to manifest format; returns the manifest path.
 
     Vectors are written as float32 per the wire format, so values are
-    rounded to float32 precision.
+    rounded to float32 precision. The vector files are written in place
+    first and manifest.csv last, atomically: an export that fails leaves
+    no new manifest, and an old one keeps its bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(_MANIFEST_HEADER)
+    for i in range(len(dataset)):
+        pre_name = f"pair{i:06d}_pre.vec"
+        post_name = f"pair{i:06d}_post.vec"
+        _write_vector(out / pre_name, dataset.pre[i])
+        _write_vector(out / post_name, dataset.post[i])
+        writer.writerow([pre_name, post_name, int(dataset.labels[i])])
     manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MANIFEST_HEADER)
-        for i in range(len(dataset)):
-            pre_name = f"pair{i:06d}_pre.vec"
-            post_name = f"pair{i:06d}_post.vec"
-            _write_vector(out / pre_name, dataset.pre[i])
-            _write_vector(out / post_name, dataset.post[i])
-            writer.writerow([pre_name, post_name, int(dataset.labels[i])])
+    write_atomic(manifest, rows.getvalue())
     return manifest

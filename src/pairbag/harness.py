@@ -17,7 +17,6 @@ import dataclasses
 import itertools
 import json
 import logging
-import os
 import typing
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from pairbag.calibrate import (
 )
 from pairbag.data import (
     PairDataset, SyntheticSpec, draw_k_shot, generate_synthetic, load_manifest, read_utf8,
+    write_atomic,
 )
 from pairbag.ensemble import member_scores, train_ensemble
 from pairbag.learner import (
@@ -229,24 +229,19 @@ def _budgets(cfg: configparser.ConfigParser) -> tuple[tuple[str, int, int], ...]
     return tuple(sorted((*_budget_key(key), _read(budgets, key, int)) for key in budgets))
 
 
-def synthetic_spec(cfg: configparser.ConfigParser, seed: int | None) -> SyntheticSpec:
-    """[data]'s SyntheticSpec, seeded by the flag's seed when given, else by
-    [experiment] seed, which is parsed either way."""
-    fields = _fields(cfg["data"], SyntheticSpec, "manifest")
-    parsed = _read(cfg["experiment"], "seed", int)
-    return SyntheticSpec(**fields, seed=parsed if seed is None else seed)
-
-
 def build_spec(
     cfg: configparser.ConfigParser, seed: int | None = None, trials: int | None = None
 ) -> ExperimentSpec:
     """Translate an INI config into an ExperimentSpec; a flag given as seed or
-    trials replaces the config's value once that has been parsed."""
+    trials replaces the config's value once that has been parsed. [data] is
+    parsed into a SyntheticSpec even when its manifest path, if set, is the
+    source."""
     fields = _fields(cfg["model"], ExperimentSpec) | _fields(cfg["experiment"], ExperimentSpec)
     fields |= {key: flag for key, flag in (("seed", seed), ("trials", trials)) if flag is not None}
     manifest = _read(cfg["data"], "manifest").strip()
+    data = SyntheticSpec(**_fields(cfg["data"], SyntheticSpec, "manifest"), seed=fields["seed"])
     return ExperimentSpec(
-        source=manifest if manifest else synthetic_spec(cfg, fields["seed"]),
+        source=manifest or data,
         train=TrainConfig(iterations=0, **_fields(cfg["train"], TrainConfig)),
         budgets=_budgets(cfg),
         **fields,
@@ -753,22 +748,6 @@ def rows_csv(cls, rows) -> str:
         values = (getattr(row, name) for name in names)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in values))
     return "\n".join(lines) + "\n"
-
-
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path through `<name>.tmp` beside it and a rename.
-
-    path holds either its old bytes or all of the new ones; on failure the
-    temp file is removed and the error propagates.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_reports_jsonl(reports: list[TrialReport], path: str | Path) -> None:

@@ -208,8 +208,9 @@ def _describe(topology: SiameseTopology, n: int) -> str:
 
 
 class Workspace:
-    """Every intermediate of loss_and_gradient and head_loss_and_gradient for
-    batches of n pairs under one topology, allocated once per training run.
+    """Every intermediate of loss_and_gradient, and of fine_tune's head-only
+    steps, for batches of n pairs under one topology, allocated once per
+    training run.
 
     A call given a workspace writes into these buffers and returns `grad`,
     so the next call with the same workspace overwrites that gradient. The
@@ -277,33 +278,6 @@ def _finite(grad: np.ndarray) -> np.ndarray:
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient")
     return grad
-
-
-def head_loss_and_gradient(
-    head: np.ndarray,
-    topology: SiameseTopology,
-    h: np.ndarray,
-    targets: np.ndarray,
-    work: Workspace | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean smoothed-target BCE of head inputs h and its gradient over `head`:
-    the head slice of loss_and_gradient's for an extractor that maps the
-    batch to h. h is a nonempty (n, 2f) array and targets (n,), or
-    ValueError. Raises TrainingError on non-finite intermediates.
-
-    With `work` (built for this topology and h's row count) the gradient
-    returned is a view of work.grad, overwritten by the next call with it.
-    """
-    shape, width = np.shape(h), 2 * topology.feature_size
-    if len(shape) != 2 or shape[1] != width or not shape[0]:
-        raise ValueError(f"head input {shape}: need nonempty (n, 2 * feature size {width})")
-    if np.shape(targets) != shape[:1]:
-        raise ValueError(f"targets of shape {np.shape(targets)} for {shape[0]} pairs")
-    if work is None:
-        work = Workspace(topology, shape[0])
-    work.check(topology, shape[0])
-    mean_loss = _head_backward(work, _unpack(head, topology.layer_shapes()[-2:]), h, targets)
-    return mean_loss, _finite(work.grad[topology.extractor_param_count :])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -449,14 +423,19 @@ def fine_tune(
     work = Workspace(topology, idx.size)
     trainable = model.weights[n_frozen:].copy()
     state = AdamState.zeros(trainable.size)
-    # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
-    step_model = None if n_frozen else BaseModel(topology, trainable[:])
+    if n_frozen:
+        # Views of the buffer, so each step reads the head weights Adam last wrote.
+        head = _unpack(trainable, topology.layer_shapes()[-2:])
+    else:
+        # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
+        step_model = BaseModel(topology, trainable[:])
     trace = np.empty(config.iterations)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.iterations):
             try:
                 if n_frozen:
-                    trace[step], grad = head_loss_and_gradient(trainable, topology, h, targets, work)
+                    trace[step] = _head_backward(work, head, h, targets)
+                    grad = _finite(work.grad[n_frozen:])
                 else:
                     trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
             except TrainingError as exc:

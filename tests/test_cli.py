@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from pairbag import blas, cli, harness
+from pairbag import blas, cli, data, harness
 from pairbag.cli import build_spec, load_config, main
 from pairbag.data import load_manifest
 from pairbag.harness import CellSummary, error_rate_improvement, load_reports_jsonl
@@ -68,6 +68,13 @@ class TestGenerate:
         assert len(ds.positives) == 12 and len(ds.negatives) == 60
         assert "wrote 72 pairs" in capsys.readouterr().out
 
+    def test_manifest_key_does_not_stop_generation(self, tmp_path, capsys):
+        config = tmp_path / "manifest.ini"
+        config.write_text(TINY_INI.replace("[data]\n", "[data]\nmanifest = /x/m.csv\n"))
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        assert len(load_manifest(out / "manifest.csv")) == 72
+
     def test_same_seed_is_byte_identical(self, tmp_path, tiny_config):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -101,6 +108,34 @@ class TestGenerate:
         code = main(["generate", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_vector_write_leaves_no_new_manifest(
+        self, tmp_path, tiny_config, capsys, monkeypatch
+    ):
+        """manifest.csv is written last and atomically: a generate that fails
+        at its 3rd vector file leaves no manifest, and an old one its bytes."""
+        write_vector = data._write_vector
+        calls = []
+
+        def third_fails(path, vec):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(f"no space left writing {path.name}")
+            write_vector(path, vec)
+
+        monkeypatch.setattr(data, "_write_vector", third_fails)
+        out = tmp_path / "data"
+        argv = ["generate", "--config", tiny_config, "--out", str(out)]
+        for old in (None, b"pre,post,label\r\nold_pre.vec,old_post.vec,0\r\n"):
+            if old is not None:
+                (out / "manifest.csv").write_bytes(old)
+            calls.clear()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: no space left writing pair000001_pre.vec\n"
+            manifest = out / "manifest.csv"
+            assert (manifest.read_bytes() if manifest.exists() else None) == old
+            assert not list(out.glob("*.tmp"))
 
 
 class TestSweep:
@@ -654,3 +689,34 @@ def test_every_default_key_reaches_the_spec(tmp_path, section, key):
     path = tmp_path / "one_key.ini"
     path.write_text(f"[{section}]\n{key} = {CHANGED_VALUES[key]}\n")
     assert build_spec(load_config(str(path))) != build_spec(DEFAULTS)
+
+
+@pytest.mark.parametrize("subcommand", ["generate", "sweep"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (section, key)
+        for section in DEFAULTS.sections()
+        for key in list(DEFAULTS[section])[: 1 if section == "budgets" else None]
+        if key != "manifest"
+    ],
+)
+def test_junk_value_of_any_key_is_one_error_line(tmp_path, capsys, subcommand, section, key):
+    """Both subcommands that read a config parse all of it, so junk in any
+    key is one error line naming the key, exit 1 and nothing written."""
+    path = tmp_path / "junk.ini"
+    path.write_text(f"[{section}]\n{key} = abc\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # arms is a list of names, so "abc" parses and the spec rejects the name.
+    want = "error: arms must " if key == "arms" else f"error: [{section}] {key}: "
+    assert err.startswith(want) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_data_section_is_parsed_when_a_manifest_is_set(tmp_path):
+    path = tmp_path / "manifest.ini"
+    path.write_text("[data]\nmanifest = /x/m.csv\nd = abc\n")
+    with pytest.raises(ValueError, match=r"^\[data\] d: "):
+        build_spec(load_config(str(path)))

@@ -17,8 +17,6 @@ from pairbag.learner import (
     Workspace,
     fine_tune,
     forward,
-    head_input,
-    head_loss_and_gradient,
     init_bound,
     init_scratch,
     init_transfer,
@@ -422,10 +420,17 @@ class TestFineTune:
 
     def test_transfer_mode_matches_full_vector_training_bytewise(self):
         """head_input computes the features of loss_and_gradient's batch, so
-        head-only training gives the full-vector loop's bytes."""
-        got, got_trace, want, trace = self.transfer_and_full_vector((4, 8, 4), 8, 10)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_trace, trace)
+        head-only training gives the full-vector loop's bytes, also over the
+        topologies and row counts at which TestGradientAssembly checks that
+        loop's gradient against its oracle."""
+        rng = np.random.default_rng(23)
+        for t in [self.small_topology()] + TestGradientAssembly.topologies(rng):
+            for n in (1, 2, 10, 11, 100):
+                got, got_trace, want, trace = self.transfer_and_full_vector(
+                    t.extractor_sizes, t.head_hidden, n
+                )
+                assert np.array_equal(got, want), (t, n)
+                assert np.array_equal(got_trace, trace), (t, n)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1984])
     def test_transfer_mode_matches_full_vector_training_at_default_widths(self, n):
@@ -504,25 +509,6 @@ class TestSigmoid:
             assert learner._sigmoid(z).tobytes() == self.masked(z).tobytes()
 
 
-class TestHeadLossAndGradient:
-    def test_equals_head_slice_of_full_gradient_bytewise(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            t = random_topology(rng)
-            pretrained = init_scratch(t, 1)
-            model = init_transfer(t, pretrained, int(rng.integers(1 << 30)))
-            n = int(rng.integers(1, 12))
-            pre = rng.standard_normal((n, t.input_dim))
-            post = rng.standard_normal((n, t.input_dim))
-            targets = smooth_target(rng.integers(0, 2, n), 0.1)
-            full_loss, full = loss_and_gradient(model, pre, post, targets)
-            head_loss, head = head_loss_and_gradient(
-                model.head_weights, t, head_input(model, pre, post), targets
-            )
-            assert head_loss == full_loss
-            assert np.array_equal(head, full[t.extractor_param_count :])
-
-
 class TestGradientAssembly:
     @staticmethod
     def topologies(rng):
@@ -533,9 +519,8 @@ class TestGradientAssembly:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 100])
     def test_matches_straight_line_oracle_bytewise(self, n):
-        """Both gradients give the oracle's loss and gradient bytes: fresh,
-        through a reused workspace, and over the head slice alone, given
-        head_input's features."""
+        """The gradient gives the oracle's loss and gradient bytes, fresh and
+        through a reused workspace."""
         rng = np.random.default_rng(100 + n)
         for t in self.topologies(rng):
             work = Workspace(t, n)
@@ -544,18 +529,11 @@ class TestGradientAssembly:
                 pre, post = rng.standard_normal((2, n, t.input_dim))
                 targets = smooth_target(rng.integers(0, 2, n), 0.1)
                 want_loss, want = oracle_loss_and_gradient(model, pre, post, targets)
-                h = head_input(model, pre, post)
-                head = want[t.extractor_param_count :]
                 for got_loss, got in (
                     loss_and_gradient(model, pre, post, targets),
                     loss_and_gradient(model, pre, post, targets, work),
                 ):
                     assert got_loss == want_loss and got.tobytes() == want.tobytes()
-                for got_loss, got in (
-                    head_loss_and_gradient(model.head_weights, t, h, targets),
-                    head_loss_and_gradient(model.head_weights, t, h, targets, work),
-                ):
-                    assert got_loss == want_loss and got.tobytes() == head.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1984])
     def test_agrees_with_two_branch_sums(self, n):
@@ -587,21 +565,6 @@ class TestGradientAssembly:
         with pytest.raises(ValueError, match="nonempty"):
             loss_and_gradient(model, pre[:0], post[:0], np.full(0, 0.5))
 
-    def test_head_gradient_batch_contract(self):
-        """head_loss_and_gradient takes nonempty (n, 2f) head inputs with one
-        target each: broadcastable targets, a wrong width, a 1-D row and an
-        empty batch are all rejected."""
-        rng = np.random.default_rng(7)
-        model = init_scratch(random_topology(rng), 8)
-        t, head = model.topology, model.head_weights
-        h = head_input(model, *rng.standard_normal((2, 5, t.input_dim)))
-        for targets in (np.full(1, 0.95), np.full(4, 0.5), np.full((5, 1), 0.5)):
-            with pytest.raises(ValueError, match="for 5 pairs"):
-                head_loss_and_gradient(head, t, h, targets)
-        for bad in (h[:, 1:], h[0], h[:0]):
-            with pytest.raises(ValueError, match=r"need nonempty \(n, 2 \* feature size"):
-                head_loss_and_gradient(head, t, bad, np.full(len(bad), 0.5))
-
 
 class TestWorkspace:
     def batch(self, rng, t, n):
@@ -611,7 +574,7 @@ class TestWorkspace:
 
     def test_reused_workspace_leaks_no_state(self):
         """A call on batch B through a workspace that last held batch A gives
-        the loss and gradient bytes of a fresh call on B, for both arms."""
+        the loss and gradient bytes of a fresh call on B."""
         rng = np.random.default_rng(37)
         for _ in range(20):
             t = random_topology(rng)
@@ -623,11 +586,6 @@ class TestWorkspace:
             loss_and_gradient(model_a, *a, work=work)
             got_loss, got = loss_and_gradient(model_b, *b, work=work)
             want_loss, want = loss_and_gradient(model_b, *b)
-            assert got_loss == want_loss and got.tobytes() == want.tobytes()
-            h_a, h_b = head_input(model_a, *a[:2]), head_input(model_b, *b[:2])
-            head_loss_and_gradient(model_a.head_weights, t, h_a, a[2], work=work)
-            got_loss, got = head_loss_and_gradient(model_b.head_weights, t, h_b, b[2], work=work)
-            want_loss, want = head_loss_and_gradient(model_b.head_weights, t, h_b, b[2])
             assert got_loss == want_loss and got.tobytes() == want.tobytes()
 
     def test_returned_gradient_is_the_workspace_buffer(self):
@@ -643,14 +601,11 @@ class TestWorkspace:
         other = SiameseTopology(extractor_sizes=(3, 6, 2), head_hidden=4)
         model = init_scratch(t, 2)
         pre, post, targets = self.batch(rng, t, 6)
-        h = head_input(model, pre, post)
         for work in (Workspace(t, 7), Workspace(other, 6)):
             built = f"n={work.n}, extractor {work.topology.extractor_sizes}"
             both = re.escape(built) + r".*n=6, extractor \(3, 5, 2\)"
             with pytest.raises(ValueError, match=both):
                 loss_and_gradient(model, pre, post, targets, work=work)
-            with pytest.raises(ValueError, match=both):
-                head_loss_and_gradient(model.head_weights, t, h, targets, work=work)
 
 
 class TestFloat32Workspace:
