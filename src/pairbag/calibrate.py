@@ -10,6 +10,7 @@ RMS >= MAD always (power-mean inequality).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +60,7 @@ class CalibrationReport:
         return cls(
             rms_error=float(record["rms_error"]),
             mad_error=float(record["mad_error"]),
-            bins=tuple((int(c), float(m), float(a)) for c, m, a in record["bins"]),
+            bins=tuple((operator.index(c), float(m), float(a)) for c, m, a in record["bins"]),
         )
 
 

@@ -235,10 +235,11 @@ def read_utf8(path: str | Path, what: str, error: type[ValueError] = ValueError)
 def load_manifest(path: str | Path) -> PairDataset:
     """Load a dataset from a UTF-8 manifest CSV and its referenced vector files.
 
-    Errors name the offending 1-based data row, a non-finite vector value
-    included; a row whose pre and post vectors repeat an earlier row's is
-    an error naming both rows. An empty manifest is rejected: a dataset
-    needs a negative.
+    Rows are checked in file order, and the first bad row is named by its
+    1-based data row, a CSV-level error included. A row whose pre and post
+    vectors repeat an earlier row's, compared as the float32 bytes stored in
+    the files, is an error naming both rows. Non-finite values are checked
+    after every row is read, and then that the manifest holds a negative.
     """
     path = Path(path)
     if not path.is_file():
@@ -246,19 +247,20 @@ def load_manifest(path: str | Path) -> PairDataset:
     text = read_utf8(path, "manifest", ManifestError)
     base = path.parent
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError(f"manifest {path} is empty (missing header)") from None
-    if [h.strip() for h in header] != _MANIFEST_HEADER:
-        raise ManifestError(
-            f"manifest {path} has header {header!r}, expected {_MANIFEST_HEADER!r}"
-        )
+    header: list[str] | None = None
     labels: list[int] = []
-    # Each row's pre payload then its post payload, as little-endian float32.
-    raw = bytearray()
     dim: int | None = None
+    # Each accepted row's pre payload then its post payload, as little-endian
+    # float32, mapped to its row number; in file order, as a dict keeps them.
+    rows_of: dict[bytes, int] = {}
     try:
+        header = next(reader, None)
+        if header is None:
+            raise ManifestError(f"manifest {path} is empty (missing header)")
+        if [h.strip() for h in header] != _MANIFEST_HEADER:
+            raise ManifestError(
+                f"manifest {path} has header {header!r}, expected {_MANIFEST_HEADER!r}"
+            )
         for row_no, row in enumerate(reader, start=1):
             if len(row) != 3:
                 raise ManifestError(
@@ -283,22 +285,20 @@ def load_manifest(path: str | Path) -> PairDataset:
                     f"manifest row {row_no}: dimension {len(pre) // 4} differs "
                     f"from first row's {dim}"
                 )
-            raw += pre
-            raw += post
+            key = b"".join((pre, post))
+            if key in rows_of:
+                raise ManifestError(
+                    f"manifest row {row_no}: pair repeats row {rows_of[key]}, so the "
+                    "two copies could land on both sides of the train/test split"
+                )
+            rows_of[key] = row_no
             labels.append(int(label_text))
-    except (ValueError, OSError, csv.Error):
-        # Rows are checked for repeats once they are all read; a repeat among
-        # the rows read so far comes first, as it would row by row.
-        repeat = labels and _repeat_error(_as_pairs(raw, len(labels), dim))
-        if repeat:
-            raise repeat from None
-        raise
+    except csv.Error as exc:
+        where = f"{path} header" if header is None else f"row {len(labels) + 1}"
+        raise ManifestError(f"manifest {where}: {exc}") from None
     if not labels:
         raise ManifestError(f"manifest {path} has no data rows")
-    pairs = _as_pairs(raw, len(labels), dim)
-    repeat = _repeat_error(pairs)
-    if repeat:
-        raise repeat
+    pairs = np.frombuffer(b"".join(rows_of), "<f4").reshape(len(labels), 2, dim)
     finite = np.isfinite(pairs).all(axis=(1, 2))
     if not finite.all():
         row_no = int(np.argmin(finite)) + 1
@@ -306,32 +306,6 @@ def load_manifest(path: str | Path) -> PairDataset:
     if 0 not in labels:
         raise ManifestError(f"manifest {path} has no negative samples")
     return PairDataset(pairs[:, 0], pairs[:, 1], np.array(labels))
-
-
-def _as_pairs(raw: bytearray, rows: int, dim: int) -> np.ndarray:
-    """The (rows, 2, dim) float32 pre and post vectors whose payloads raw holds."""
-    return np.frombuffer(raw, dtype="<f4", count=rows * 2 * dim).reshape(rows, 2, dim)
-
-
-def _repeat_error(pairs: np.ndarray) -> ManifestError | None:
-    """The error naming the first row whose pre and post vectors repeat an
-    earlier row's, as the float64 vectors they load as, and the first row it
-    repeats; None without one."""
-    if not np.isfinite(pairs).all():
-        # The float64 cast can quiet a float32 NaN, which then repeats another.
-        pairs = pairs.astype(np.float64)
-    rows = pairs.shape[0]
-    keys = pairs.reshape(rows, -1).view(np.dtype((np.void, pairs[0].nbytes)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    earlier = first[inverse]
-    repeats = np.flatnonzero(earlier != np.arange(rows))
-    if not repeats.size:
-        return None
-    row = int(repeats[0])
-    return ManifestError(
-        f"manifest row {row + 1}: pair repeats row {int(earlier[row]) + 1}, so the "
-        "two copies could land on both sides of the train/test split"
-    )
 
 
 def write_atomic(path: str | Path, text: str) -> None:

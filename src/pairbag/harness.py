@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import operator
 import typing
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from pairbag.learner import (
     SiameseTopology,
     TrainingError,
     head_input,
+    integers,
     pretrain_extractor,
     run_now,
 )
@@ -96,12 +98,13 @@ class ExperimentSpec:
     source_tasks: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_shots", tuple(int(k) for k in self.k_shots))
-        object.__setattr__(self, "ensemble_sizes", tuple(int(m) for m in self.ensemble_sizes))
+        for name in ("k_shots", "ensemble_sizes"):
+            object.__setattr__(self, name, integers(name, getattr(self, name)))
         object.__setattr__(self, "arms", tuple(self.arms))
-        object.__setattr__(
-            self, "budgets", tuple((a, int(k), int(b)) for a, k, b in self.budgets)
+        budgets = tuple(
+            (a, *integers(f"{a} budget's k and iterations", (k, b))) for a, k, b in self.budgets
         )
+        object.__setattr__(self, "budgets", budgets)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 2:
@@ -290,15 +293,15 @@ class TrialReport:
     @classmethod
     def from_record(cls, record: dict) -> "TrialReport":
         return cls(
-            trial_index=int(record["trial_index"]),
+            trial_index=operator.index(record["trial_index"]),
             arm=str(record["arm"]),
-            k=int(record["k"]),
-            ensemble_size=int(record["ensemble_size"]),
+            k=operator.index(record["k"]),
+            ensemble_size=operator.index(record["ensemble_size"]),
             accuracy=float(record["accuracy"]),
             calibrations=tuple(
                 CalibrationReport.from_record(c) for c in record["calibrations"]
             ),
-            leakage_overlap=int(record["leakage_overlap"]),
+            leakage_overlap=operator.index(record["leakage_overlap"]),
         )
 
 
@@ -763,7 +766,7 @@ def load_reports_jsonl(path: str | Path) -> list[TrialReport]:
             continue
         try:
             reports.append(TrialReport.from_record(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path} line {lineno}: malformed trial report: {exc}") from exc
     if not reports:
         raise ValueError(f"{path}: no trial reports found")

@@ -31,6 +31,15 @@ class TrainingError(RuntimeError):
     """Raised when a training run produces a non-finite loss or gradient."""
 
 
+def integers(what: str, values) -> tuple[int, ...]:
+    """values as ints; one that is not an integer raises ValueError naming
+    what, rather than being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} {values} must be integers") from None
+
+
 @dataclass(frozen=True)
 class SiameseTopology:
     """Layer widths of the shared extractor and the pair head.
@@ -44,11 +53,7 @@ class SiameseTopology:
     head_hidden: int
 
     def __post_init__(self) -> None:
-        widths = (*self.extractor_sizes, self.head_hidden)
-        try:
-            *sizes, head_hidden = map(operator.index, widths)
-        except TypeError:
-            raise ValueError(f"layer widths {widths} must be integers") from None
+        *sizes, head_hidden = integers("layer widths", (*self.extractor_sizes, self.head_hidden))
         if len(sizes) < 2:
             raise ValueError("extractor needs at least input and feature sizes")
         if any(s < 1 for s in sizes) or head_hidden < 1:

@@ -1,7 +1,8 @@
-"""Property tests: junk config values and corrupted manifests fail cleanly.
+"""Property tests: junk config values, corrupted manifests and corrupted
+results files fail cleanly.
 
 A run on bad input either goes on, or exits 1 with one `error:` line that
-names the bad key, the manifest or one of its rows; it never ends in a
+names the bad key, the file or one of its rows; it never ends in a
 traceback. Examples are derandomized, so every run draws the same ones.
 """
 
@@ -12,7 +13,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pairbag import harness
 from pairbag.cli import main
@@ -129,3 +130,37 @@ def test_corrupted_manifest_names_file_or_row(tiny_manifest_dir, edits):
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"manifest {manifest}" in err or re.match(r"error: manifest row \d+: ", err), err
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tmp_path_factory):
+    """The results.jsonl bytes of TINY_INI's sweep."""
+    out = tmp_path_factory.mktemp("tiny_results")
+    config = out / "tiny.ini"
+    config.write_text(TINY_INI)
+    assert run(["sweep", "--config", str(config), "--out", str(out)])[0] == 0
+    return (out / "results.jsonl").read_bytes()
+
+
+# Each record ends `"k": 3, "leakage_overlap": 0, "trial_index": 1}\n`, its
+# integer fields single digits, so a position counted from the end (a
+# negative one) lands in the last record's integer fields.
+AFTER_TRIAL_INDEX = -2
+AFTER_K = -42
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(edits=EDITS)
+@example(edits=[("insert", AFTER_TRIAL_INDEX, ord(c)) for c in "e400"])
+@example(edits=[("insert", AFTER_TRIAL_INDEX, ord(c)) for c in ".7"])
+@example(edits=[("insert", AFTER_K, ord(c)) for c in ".9"])
+def test_corrupted_results_names_file_line_or_cell(tmp_path_factory, tiny_results, edits):
+    results = tmp_path_factory.mktemp("report") / "corrupt.jsonl"
+    results.write_bytes(corrupt(tiny_results, edits))
+    code, err = run(["report", "--results", str(results)])
+    if code == 0:
+        return
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # summarize's errors name a cell of the grid; every other names the file.
+    assert str(results) in err or " cell (" in err, err

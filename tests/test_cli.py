@@ -374,11 +374,38 @@ class TestReport:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    GOOD_RECORD = (
+        '{"trial_index": 0, "arm": "scratch", "k": 5, "ensemble_size": 1, "accuracy": 90.0, '
+        '"calibrations": [{"rms_error": 5.0, "mad_error": 4.0, "bins": [[15, 0.9, 0.9]]}], '
+        '"leakage_overlap": 0}'
+    )
+    # A field of GOOD_RECORD and a value of the wrong type: a float where an
+    # integer belongs, or an integer too large for a float.
+    WRONG_TYPES = [
+        ('"trial_index": 0', '"trial_index": 1e400'),
+        ('"trial_index": 0', '"trial_index": 2.7'),
+        ('"k": 5', '"k": 5.9'),
+        ('"ensemble_size": 1', '"ensemble_size": 1.0'),
+        ('"leakage_overlap": 0', '"leakage_overlap": 0.5'),
+        ("[[15,", "[[1.5,"),
+        ('"accuracy": 90.0', '"accuracy": 1' + "0" * 400),
+    ]
+
     def test_malformed_jsonl_names_line(self, tmp_path, capsys):
+        """A record that is not a report, or one whose field holds a value of
+        the wrong type, is one error line; it is never truncated or a traceback."""
         path = tmp_path / "broken.jsonl"
-        path.write_text('{"not": "a report"}\n')
-        assert main(["report", "--results", str(path)]) == 1
-        assert "line 1" in capsys.readouterr().err
+        path.write_text(self.GOOD_RECORD + "\n")
+        assert load_reports_jsonl(path)
+        lines = ['{"not": "a report"}']
+        lines += [self.GOOD_RECORD.replace(*edit) for edit in self.WRONG_TYPES]
+        for line in lines:
+            assert line != self.GOOD_RECORD
+            path.write_text(line + "\n")
+            assert main(["report", "--results", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path} line 1: malformed trial report: "), err
+            assert err.count("\n") == 1, err
 
     def test_summary_csv_is_not_an_input(self, tmp_path, tiny_config, capsys):
         """report reads trial records only; a summary CSV is a malformed one."""

@@ -270,8 +270,8 @@ class TestManifest:
         return manifest
 
     def test_repeat_comes_before_a_bad_file_in_a_later_row(self, tmp_path):
-        """Repeats are found after the rows are read, and still reported in
-        row order: row 5 repeats row 1, and row 6's file is missing."""
+        """Rows are checked in file order: row 5 repeats row 1, and row 6's
+        file is missing."""
         manifest = self.rows_with(
             tmp_path, "pair000000_pre.vec,pair000000_post.vec,1", "gone.vec,gone.vec,0"
         )
@@ -285,6 +285,28 @@ class TestManifest:
         )
         with pytest.raises(ManifestError, match="^manifest row 5: vector file not found: "):
             load_manifest(manifest)
+
+    def test_over_long_field_names_its_row(self, tmp_path):
+        """A field past the csv module's size limit fails its row, not the reader."""
+        manifest = self.rows_with(tmp_path, "x" * 200_000 + ",pair000000_post.vec,0")
+        with pytest.raises(ManifestError, match="^manifest row 5: field larger than"):
+            load_manifest(manifest)
+
+    def test_over_long_header_field_names_the_header(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("x" * 200_000 + ",post_path,label\n")
+        with pytest.raises(ManifestError, match=re.escape(f"manifest {manifest} header: ")):
+            load_manifest(manifest)
+
+    def test_signalling_nan_is_non_finite(self, tmp_path):
+        """A float32 signalling NaN is only a non-finite value: no cast warns."""
+        vec = tmp_path / "snan.vec"
+        vec.write_bytes(struct.pack("<II", 1, 0x7F800001))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"pre_path,post_path,label\n{vec.name},{vec.name},0\n")
+        with pytest.raises(ManifestError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == "manifest row 1: vector holds a non-finite value"
 
     @pytest.mark.parametrize("name", ["subdir", "a\0b.vec", "pair000000_pre.vec/x"])
     def test_directory_or_unopenable_name_is_not_found(self, tmp_path, name):

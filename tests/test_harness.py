@@ -177,6 +177,14 @@ class TestExperimentSpec:
             dataclasses.replace(spec, extractor_hidden=(6, 4.5), head_hidden=8)
         with pytest.raises(ValueError, match=r"4\.0\) must be integers"):
             dataclasses.replace(spec, head_hidden=4.0)
+        with pytest.raises(ValueError, match=r"k_shots \(5\.9, 50\) must be integers"):
+            dataclasses.replace(spec, k_shots=(5.9, 50))
+        with pytest.raises(ValueError, match=r"ensemble_sizes \(1\.7, 5\) must be integers"):
+            dataclasses.replace(spec, ensemble_sizes=(1.7, 5))
+        for k, iterations in ((7, 49.9), (7.5, 100)):
+            want = rf"scratch budget's k and iterations \({k}, {iterations}\) must be integers"
+            with pytest.raises(ValueError, match=want):
+                dataclasses.replace(spec, budgets=spec.budgets + (("scratch", k, iterations),))
 
 
 class TestSplit:
