@@ -225,9 +225,9 @@ def _write_vector(path: Path, vec: np.ndarray) -> None:
 
 
 def read_utf8(path: str | Path, what: str, error: type[ValueError] = ValueError) -> str:
-    """The file's text; bytes that are not UTF-8 raise `error` naming what and path."""
+    """The file's text, less a leading BOM; non-UTF-8 bytes raise `error` naming what and path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 

@@ -409,12 +409,13 @@ def fine_tune(
     """Train a model on dataset rows `indices` with full-batch Adam.
 
     In transfer mode the frozen extractor maps the rows to head inputs once
-    and Adam trains the head slice alone. The trainable slice is copied once
-    into a buffer that Adam updates in place, and every step writes its
-    intermediates into one Workspace built here. Returns the trained model
-    and the training-loss trace (one entry per iteration, evaluated before
-    each step; no monotonicity is promised). A TrainingError names the
-    1-based iteration.
+    and Adam trains the head slice alone, in float64. In scratch mode each
+    step computes in float32, as pretraining does (rows past its range raise
+    ValueError), and Adam updates the float64 weights by the widened gradient.
+    Every step writes into one Workspace built here. Returns the trained
+    model and the loss trace (one entry per iteration, evaluated before each
+    step; no monotonicity is promised). A TrainingError names the 1-based
+    iteration.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -425,15 +426,17 @@ def fine_tune(
     topology = model.topology
     n_frozen = topology.extractor_param_count if model.init_mode == "transfer" else 0
     h = head_input(model, pre, post) if n_frozen else None
-    work = Workspace(topology, idx.size)
+    work = Workspace(topology, idx.size, np.float64 if n_frozen else np.float32)
     trainable = model.weights[n_frozen:].copy()
     state = AdamState.zeros(trainable.size)
     if n_frozen:
         # Views of the buffer, so each step reads the head weights Adam last wrote.
         head = _unpack(trainable, topology.layer_shapes()[-2:])
     else:
+        pre, post, targets = _float32("fine-tuning", "training", pre, post, targets)
         # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
         step_model = BaseModel(topology, trainable[:])
+        grad = np.empty(trainable.size)
     trace = np.empty(config.iterations)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.iterations):
@@ -442,12 +445,25 @@ def fine_tune(
                     trace[step] = _head_backward(work, head, h, targets)
                     grad = _finite(work.grad[n_frozen:])
                 else:
-                    trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
+                    trace[step], g32 = loss_and_gradient(step_model, pre, post, targets, work=work)
+                    np.copyto(grad, g32)
             except TrainingError as exc:
                 raise TrainingError(f"iteration {step + 1}: {exc}") from exc
             adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
+
+
+def _float32(job: str, pairs: str, *arrays: np.ndarray) -> list[np.ndarray]:
+    """arrays cast to float32 for `job`; a value past its range raises ValueError."""
+    with np.errstate(over="ignore"):
+        cast = [a.astype(np.float32) for a in arrays]
+    if not all(np.isfinite(a).all() for a in cast):
+        raise ValueError(
+            f"{job} computes in float32, and the {pairs} pairs exceed its range "
+            f"(about {float(np.finfo(np.float32).max):.1e}): lower separation or noise_scale"
+        )
+    return cast
 
 
 def pretrain_extractor(
@@ -477,14 +493,8 @@ def pretrain_extractor(
     # would sit in the heap above the freed halves' buffers.
     weights = _init_weights(topology, seed)
     model = BaseModel(topology, weights[:])
-    with np.errstate(over="ignore"):
-        pre, post = source.pre.astype(np.float32), source.post.astype(np.float32)
-    if not (np.isfinite(pre).all() and np.isfinite(post).all()):
-        raise ValueError(
-            "pretraining computes in float32, and the source pairs exceed its range "
-            f"(about {float(np.finfo(np.float32).max):.1e}): lower separation or noise_scale"
-        )
-    targets = smooth_target(source.labels, config.alpha).astype(np.float32)
+    targets = smooth_target(source.labels, config.alpha)
+    pre, post, targets = _float32("pretraining", "source", source.pre, source.post, targets)
     cut = n // 2
     halves = [
         (model, pre[rows], post[rows], targets[rows], Workspace(topology, size, np.float32))

@@ -109,6 +109,8 @@ def adam_step(
             f"shape mismatch: weights {weights.shape}, grad {grad.shape}, "
             f"state {state.m.shape}"
         )
+    if grad.dtype != weights.dtype:
+        raise ValueError(f"dtype mismatch: weights {weights.dtype}, grad {grad.dtype}")
     b1, b2 = config.adam_beta1, config.adam_beta2
     m, v, (a, b) = state.m, state.v, state.scratch
     state.t += 1

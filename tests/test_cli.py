@@ -374,6 +374,22 @@ class TestReport:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_byte_order_mark_in_results_is_skipped(self, tmp_path, capsys):
+        """A results file saved with a leading UTF-8 byte-order mark reports
+        as the same file without it."""
+        second = self.GOOD_RECORD.replace('"trial_index": 0', '"trial_index": 1')
+        records = [self.GOOD_RECORD, second]
+        printed, written = [], []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            out = tmp_path / f"mark{len(mark)}"
+            out.mkdir()
+            (out / "r.jsonl").write_bytes(mark + "\n".join(records).encode() + b"\n")
+            assert main(["report", "--results", str(out / "r.jsonl")]) == 0
+            printed.append(capsys.readouterr())
+            written.append({k: v for k, v in read_tree(out).items() if k != "r.jsonl"})
+        assert printed[0] == printed[1] and printed[0].err == ""
+        assert written[0] == written[1] and len(written[0]) == 2
+
     GOOD_RECORD = (
         '{"trial_index": 0, "arm": "scratch", "k": 5, "ensemble_size": 1, "accuracy": 90.0, '
         '"calibrations": [{"rms_error": 5.0, "mad_error": 4.0, "bins": [[15, 0.9, 0.9]]}], '
@@ -530,6 +546,26 @@ class TestConfigErrors:
         assert "separation" in err and "noise_scale" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_training_pairs_beyond_float32_range_are_one_error_line(
+        self, tmp_path, capsys, workers
+    ):
+        """The scratch arm fine-tunes in float32, so with no pretraining to
+        fail first, training pairs past its range are one error line naming
+        fine-tuning, also from a worker process. (In float64 this sweep ran
+        to the end.)"""
+        path = tmp_path / "huge.ini"
+        text = TINY_INI.replace("separation = 6.0", "separation = 1e39")
+        path.write_text(text.replace("arms = scratch, transfer", "arms = scratch"))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fine-tuning computes in float32"), err
+        assert err.count("\n") == 1, err
+        assert "separation" in err and "noise_scale" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, prefix",
         [
@@ -644,6 +680,14 @@ class TestConfigErrors:
         assert err.startswith(f"error: config {path} is not UTF-8 text: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_in_config_is_skipped(self, tmp_path):
+        """A config saved with a leading UTF-8 byte-order mark reads as the
+        same file without it."""
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(TINY_INI.lstrip())
+        marked.write_bytes(b"\xef\xbb\xbf" + TINY_INI.lstrip().encode())
+        assert build_spec(load_config(str(marked))) == build_spec(load_config(str(plain)))
 
     def test_diverging_training(self, tmp_path, capsys):
         """The message names where the run diverged, also from a worker

@@ -175,6 +175,16 @@ class TestManifest:
         np.testing.assert_array_equal(loaded.pre, ds.pre.astype(np.float32).astype(np.float64))
         np.testing.assert_array_equal(loaded.post, ds.post.astype(np.float32).astype(np.float64))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A manifest saved with a leading UTF-8 byte-order mark, as some
+        spreadsheet tools write CSV, loads as the same manifest without it."""
+        manifest = save_manifest(small_dataset(n_pos=2, n_neg=3, d=2), tmp_path)
+        plain = load_manifest(manifest)
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        marked = load_manifest(manifest)
+        for name in ("pre", "post", "labels"):
+            assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(tmp_path / "nope.csv")

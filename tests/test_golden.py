@@ -22,13 +22,13 @@ from test_cli import TINY_INI
 SRC = Path(pairbag.__file__).resolve().parent.parent
 
 GOLDEN = {
-    "results.jsonl": "13d8bbfc9e9b5b16b8d8e570bc9ad4afb9438c855089b21f969e773d2fa86a3f",
-    "summary.csv": "e9ffdcfc8a23dc7ae0e1dad62cfa9ddfab3213854027d31ccdc34c0a6ad86768",
-    "report_cells.csv": "e9ffdcfc8a23dc7ae0e1dad62cfa9ddfab3213854027d31ccdc34c0a6ad86768",
+    "results.jsonl": "62e5477f341e1a373a3130955b3a136c2fa83e591e1ed294bb2ee3dd5a5acfcd",
+    "summary.csv": "109902bace73cac93d192fb51dcdd277ba3968bf1db6f527ae7c8f5a6bbf2f13",
+    "report_cells.csv": "109902bace73cac93d192fb51dcdd277ba3968bf1db6f527ae7c8f5a6bbf2f13",
     "report_improvements.csv": "80165f65bb51f6d28c5a6b3092166d0a2eaf1f9329e6e45406cb5e965e4a7f0f",
 }
 # results.jsonl of the sweep with ensemble_sizes = 1
-CALIBRATION_RESULTS = "8aaca3fce9d12126932285d7647cff90839493071b396feecf950d93d25e7fed"
+CALIBRATION_RESULTS = "38a5049d02eda60b75890f3102e398eb58006ee457dfdafe673c262f75243408"
 
 
 def sha256(path: Path) -> str:

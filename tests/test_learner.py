@@ -73,11 +73,11 @@ def oracle_loss_and_gradient(model, pre, post, targets):
     """Batch loss and gradient in straight-line code: the extractor runs on
     the pairs' rows interleaved, pair i's pre row at 2i and its post row at
     2i+1, and each layer's term, dz.T @ x and the column sums of dz, is
-    written into the gradient vector."""
+    written into the gradient vector, which has the weights' dtype."""
     topology = model.topology
     n_ext = len(topology.extractor_sizes) - 1
     mats = oracle_layers(model)
-    grad = np.empty(topology.param_count)
+    grad = np.empty(topology.param_count, model.weights.dtype)
     views = learner._unpack(grad, topology.layer_shapes())
 
     def set_term(layer, dz, x):
@@ -440,6 +440,42 @@ class TestFineTune:
         got, got_trace, want, trace = self.transfer_and_full_vector((16, 128, 64), 128, n)
         assert np.array_equal(got, want)
         assert np.array_equal(got_trace, trace)
+
+    @staticmethod
+    def scratch_adam(model, ds, config, dtype):
+        """Full-batch Adam on float64 weights from `model`, each step's
+        gradient computed in `dtype` and widened: (weights, loss trace)."""
+        t = model.topology
+        targets = smooth_target(ds.labels, config.alpha)
+        batch = [a.astype(dtype) for a in (ds.pre, ds.post, targets)]
+        work = Workspace(t, len(ds), dtype)
+        weights, state, trace = model.weights.copy(), AdamState.zeros(t.param_count), []
+        for _ in range(config.iterations):
+            step_loss, grad = loss_and_gradient(BaseModel(t, weights.copy()), *batch, work)
+            adam_step(weights, grad.astype(np.float64), state, config)
+            trace.append(step_loss)
+        return weights, np.array(trace)
+
+    # Fixed before measuring: ten times TestFloat32Workspace's one-pass loss
+    # bound, for the drift that float32 gradients add over up to 130 steps.
+    TRACE_TOL = 1e-5
+
+    @pytest.mark.parametrize("n, iterations", [(10, 100), (100, 130)])
+    def test_scratch_mode_computes_in_float32_on_float64_weights(self, n, iterations):
+        """At the default widths and the default scratch budgets, fine_tune
+        gives the bytes of float32 passes on float64 Adam and returns float64
+        weights, and its loss trace stays within TRACE_TOL relative of the
+        same init trained in float64."""
+        ds = separable_dataset(n_pos=n // 2, n_neg=n - n // 2, d=16, seed=n)
+        model = init_scratch(SiameseTopology((16, 128, 64), 128), 3)
+        cfg = TrainConfig(iterations=iterations)
+        trained, trace = fine_tune(model, np.arange(n), ds, cfg)
+        assert trained.weights.dtype == np.float64 and trace.dtype == np.float64
+        weights, mixed = self.scratch_adam(model, ds, cfg, np.float32)
+        assert trained.weights.tobytes() == weights.tobytes()
+        assert trace.tobytes() == mixed.tobytes()
+        _, reference = self.scratch_adam(model, ds, cfg, np.float64)
+        assert np.all(np.abs(trace - reference) <= self.TRACE_TOL * reference)
 
     def test_scratch_mode_moves_extractor(self):
         ds = separable_dataset()

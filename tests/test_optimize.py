@@ -328,6 +328,14 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape mismatch"):
             adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), TrainConfig(iterations=1))
 
+    def test_rejects_a_gradient_of_another_dtype(self):
+        """A float32 gradient would make numpy compute g * g and (1 - b1) * g
+        in float32 even into float64 moments: 1e-30 squares to 0."""
+        w, state = np.zeros(3), AdamState.zeros(3)
+        with pytest.raises(ValueError, match="dtype mismatch: weights float64, grad float32"):
+            adam_step(w, np.full(3, 1e-30, np.float32), state, TrainConfig(iterations=1))
+        assert state.t == 0 and not state.v.any()
+
     def test_determinism(self):
         rng = np.random.default_rng(14)
         w = rng.standard_normal(8)

@@ -16,6 +16,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,14 +61,24 @@ JOBS = list(itertools.product(SPEC.arms, SPEC.k_shots, SPEC.ensemble_sizes, rang
 
 def oracle_member(init, pre, post, targets, config):
     """Flat weights of `init` after config.iterations allocating Adam steps
-    on the full batch; a transfer member steps its head slice alone."""
+    on the full batch; a transfer member steps its head slice alone, in
+    float64. A scratch member's gradient is computed in float32, from the
+    weights, pairs and targets cast at each step, and widened to float64
+    for Adam."""
     topology = init.topology
     frozen = topology.extractor_param_count if init.init_mode == "transfer" else 0
     weights = init.weights
     m = v = np.zeros(weights.size - frozen)
     t = 0
     for _ in range(config.iterations):
-        _, grad = oracle_loss_and_gradient(BaseModel(topology, weights), pre, post, targets)
+        if frozen:
+            _, grad = oracle_loss_and_gradient(BaseModel(topology, weights), pre, post, targets)
+        else:
+            # BaseModel holds float64 weights, so the float32 copy rides on a stand-in.
+            model32 = SimpleNamespace(topology=topology, weights=weights.astype(np.float32))
+            batch32 = (a.astype(np.float32) for a in (pre, post, targets))
+            _, grad32 = oracle_loss_and_gradient(model32, *batch32)
+            grad = grad32.astype(np.float64)
         head, m, v, t = adam_oracle(weights[frozen:], grad[frozen:], m, v, t, config)
         weights = np.concatenate([weights[:frozen], head])
     return weights
