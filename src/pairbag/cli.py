@@ -184,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenExecutor as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def train_ensemble(
     config: TrainConfig,
     topology: SiameseTopology,
     pretrained: BaseModel | None = None,
-    on_member: Callable[[BaseModel], object] | None = None,
+    on_member: Callable[[BaseModel, np.ndarray], object] | None = None,
 ) -> Ensemble:
     """Train one base model per assigned chunk and bundle them.
 
@@ -69,7 +69,7 @@ def train_ensemble(
     so members differ only through their seed path and their chunk. Given
     `pretrained`, members are transfer models over its extractor, else
     scratch. A TrainingError names the member (1-based) that diverged.
-    on_member, if given, gets each model as soon as it is trained, in member order.
+    on_member, if given, gets each model and the rows it trained on, in member order.
     """
     models = []
     for i in range(1, assignment.model_count + 1):
@@ -84,7 +84,7 @@ def train_ensemble(
         except TrainingError as exc:
             raise TrainingError(f"member {i}: {exc}") from exc
         if on_member is not None:
-            on_member(trained)
+            on_member(trained, indices)
         models.append(trained)
     return Ensemble(models=tuple(models), assignment=assignment, draw=draw, seed=config.seed)
 

@@ -18,6 +18,7 @@ import itertools
 import json
 import logging
 import operator
+import signal
 import typing
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ from pairbag.learner import (
     run_now,
 )
 from pairbag.optimize import TrainConfig
-from pairbag.partition import assign_chunks, base_training_set, make_chunk_plan
+from pairbag.partition import assign_chunks, make_chunk_plan
 from pairbag.seeding import (
     ASSIGN_STREAM,
     DRAW_STREAM,
@@ -571,14 +572,13 @@ def run_trial(
     A thread scores each member while the next trains, unless no training
     can overlap it (|M| = 1) or this is a pool worker, whose siblings keep
     the other cores busy. Raises before any draw if the spec does not run
-    `arm`, before any training if m chunks of size k do not fit in the
-    train-split negatives, LeakageError if any base-model training row maps
-    into the test set, and TrainingError naming the cell, the trial and the
-    member if training diverges.
+    `arm`; the draw, plan and assignment raise before any training if the
+    cell does not fit in the train split. Raises LeakageError if a row the
+    members trained on is a test row, and TrainingError naming the cell,
+    the trial and the member if training diverges.
     """
     if arm not in spec.arms:
         raise ValueError(f"unknown arm {arm!r}: the spec runs {spec.arms}")
-    _check_feasible(context.train, (k,), (m,))
     draw = draw_k_shot(context.train, k, derive_seed(trial_seed, DRAW_STREAM))
     plan = make_chunk_plan(context.train, k, derive_seed(trial_seed, PLAN_STREAM))
     assignment = assign_chunks(plan, m, derive_seed(trial_seed, ASSIGN_STREAM))
@@ -593,10 +593,12 @@ def run_trial(
     # Made here: the scoring thread's own malloc arena would keep its pages.
     hidden = None if features is None else np.empty((len(test), spec.head_hidden))
     scored: list[Future] = []
+    rows: list[np.ndarray] = []
     with ThreadPoolExecutor(max_workers=1) as scorer:
         submit = scorer.submit if _WORKER_CTX is None and m > 1 else run_now
 
-        def score(model):
+        def score(model, indices):
+            rows.append(indices)
             scored.append(submit(member_scores, (model,), test.pre, test.post, features, hidden))
 
         try:
@@ -606,12 +608,8 @@ def run_trial(
         except TrainingError as exc:
             raise TrainingError(f"arm {arm}, k={k}, |M|={m}, trial {trial_index}, {exc}") from exc
 
-        # Leakage guard: map each member's train-relative D_i rows to original
-        # dataset rows and demand an empty intersection with the test rows.
-        overlap = 0
-        for i in range(1, m + 1):
-            original = context.train_idx[base_training_set(draw, plan, assignment, i)]
-            overlap += _overlap_count(original, context.test_idx)
+        # Leakage guard: the distinct dataset rows any member trained on that are test rows.
+        overlap = np.intersect1d(context.train_idx[np.concatenate(rows)], context.test_idx).size
         if overlap:
             raise LeakageError(f"{overlap} training rows leaked into the test set")
         per_model = np.concatenate([future.result() for future in scored])
@@ -633,17 +631,14 @@ def run_trial(
     )
 
 
-def _overlap_count(rows: np.ndarray, test_idx: np.ndarray) -> int:
-    """np.intersect1d(rows, test_idx).size without sorting test_idx."""
-    return int(np.unique(rows[np.isin(rows, test_idx)]).size)
-
-
 _WORKER_CTX: tuple[ExperimentSpec, ExperimentContext] | None = None
 
 
 def _worker_init(spec: ExperimentSpec, ctx: ExperimentContext) -> None:
     global _WORKER_CTX
     _WORKER_CTX = (spec, ctx)
+    # Ctrl-C reaches the whole process group; the parent alone reports it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _worker_run(job: tuple[str, int, int, int, int]) -> TrialReport:

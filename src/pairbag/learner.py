@@ -411,11 +411,11 @@ def fine_tune(
     In transfer mode the frozen extractor maps the rows to head inputs once
     and Adam trains the head slice alone, in float64. In scratch mode each
     step computes in float32, as pretraining does (rows past its range raise
-    ValueError), and Adam updates the float64 weights by the widened gradient.
+    ValueError), and adam_step widens its gradient to update the float64 weights.
     Every step writes into one Workspace built here. Returns the trained
     model and the loss trace (one entry per iteration, evaluated before each
     step; no monotonicity is promised). A TrainingError names the 1-based
-    iteration.
+    iteration, and at a scratch run's iteration 1 also float32's range.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -436,7 +436,6 @@ def fine_tune(
         pre, post, targets = _float32("fine-tuning", "training", pre, post, targets)
         # BaseModel marks its view of the buffer read-only; Adam writes the buffer.
         step_model = BaseModel(topology, trainable[:])
-        grad = np.empty(trainable.size)
     trace = np.empty(config.iterations)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.iterations):
@@ -445,13 +444,22 @@ def fine_tune(
                     trace[step] = _head_backward(work, head, h, targets)
                     grad = _finite(work.grad[n_frozen:])
                 else:
-                    trace[step], g32 = loss_and_gradient(step_model, pre, post, targets, work=work)
-                    np.copyto(grad, g32)
+                    trace[step], grad = loss_and_gradient(step_model, pre, post, targets, work=work)
             except TrainingError as exc:
-                raise TrainingError(f"iteration {step + 1}: {exc}") from exc
+                # At iteration 1 the weights are the bounded init: the data overflowed.
+                hint = "" if n_frozen or step else f"; {_past_float32('fine-tuning')}"
+                raise TrainingError(f"iteration {step + 1}: {exc}{hint}") from exc
             adam_step(trainable, grad, state, config)
     weights = np.concatenate([model.weights[:n_frozen], trainable])
     return BaseModel(topology=topology, weights=weights, init_mode=model.init_mode), trace
+
+
+def _past_float32(job: str, what: str = "the first step's values") -> str:
+    """The error text for `what` exceeding the range of `job`'s float32 passes."""
+    return (
+        f"{job} computes in float32, and {what} exceed its range "
+        f"(about {float(np.finfo(np.float32).max):.1e}): lower separation or noise_scale"
+    )
 
 
 def _float32(job: str, pairs: str, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -459,10 +467,7 @@ def _float32(job: str, pairs: str, *arrays: np.ndarray) -> list[np.ndarray]:
     with np.errstate(over="ignore"):
         cast = [a.astype(np.float32) for a in arrays]
     if not all(np.isfinite(a).all() for a in cast):
-        raise ValueError(
-            f"{job} computes in float32, and the {pairs} pairs exceed its range "
-            f"(about {float(np.finfo(np.float32).max):.1e}): lower separation or noise_scale"
-        )
+        raise ValueError(_past_float32(job, f"the {pairs} pairs"))
     return cast
 
 
@@ -483,7 +488,8 @@ def pretrain_extractor(
     thread, whatever the caller's count, which is restored on return, and
     the second half runs on a second thread meanwhile. Where OpenBLAS cannot
     be pinned, both halves run on the calling thread, with the same bytes.
-    A TrainingError names pretraining and the 1-based iteration.
+    A TrainingError names pretraining and the 1-based iteration, and at
+    iteration 1 also float32's range.
     """
     n = len(source)
     if n < 2:
@@ -510,7 +516,8 @@ def pretrain_extractor(
                 _, first_grad = loss_and_gradient(*halves[0])
                 _, second_grad = second.result()
             except TrainingError as exc:
-                raise TrainingError(f"pretraining iteration {step + 1}: {exc}") from exc
+                hint = "" if step else f"; {_past_float32('pretraining')}"
+                raise TrainingError(f"pretraining iteration {step + 1}: {exc}{hint}") from exc
             np.multiply(first_grad, cut / n, out=grad, dtype=np.float64)
             np.multiply(second_grad, (n - cut) / n, out=second_part, dtype=np.float64)
             adam_step(weights, np.add(grad, second_part, out=grad), state, config)

@@ -103,16 +103,18 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of `weights`, `state.m`, `state.v` and
     `state.t`, in place. The ufuncs keep the operation order of the
-    allocating formula, so they give its bytes and allocate nothing."""
+    allocating formula, so they give its bytes and allocate nothing. A grad
+    not in the moments' dtype is widened into scratch first, not squared in its own."""
     if weights.shape != grad.shape or weights.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: weights {weights.shape}, grad {grad.shape}, "
             f"state {state.m.shape}"
         )
-    if grad.dtype != weights.dtype:
-        raise ValueError(f"dtype mismatch: weights {weights.dtype}, grad {grad.dtype}")
     b1, b2 = config.adam_beta1, config.adam_beta2
     m, v, (a, b) = state.m, state.v, state.scratch
+    if grad.dtype != m.dtype:  # b is next written after grad's last read
+        np.copyto(b, grad)
+        grad = b
     state.t += 1
     # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
     np.add(np.multiply(m, b1, out=m), np.multiply(grad, 1.0 - b1, out=a), out=m)

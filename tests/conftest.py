@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+
 import acceptance_registry
 import pytest
 
@@ -16,6 +19,16 @@ def two_blas_threads():
     assert blas.threads() == 2
     yield
     set_(before)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """The test leaves no child process and no non-daemon thread it started running."""
+    before = set(threading.enumerate())
+    yield
+    assert multiprocessing.active_children() == []
+    leaked = [t for t in threading.enumerate() if t not in before and not t.daemon]
+    assert leaked == [], f"threads still running: {leaked}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,7 +4,12 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +279,49 @@ class TestDeadWorker:
         assert len(err) == 1 and err[0].startswith("error: a worker process died")
         assert not out.exists()
         assert blas.threads() == 2
+
+
+def _children(pid):
+    """Process ids of pid's children, read from Linux's /proc."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return path.read_text().split() if path.exists() else []
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ctrl_c_is_one_error_line(self, tmp_path, workers):
+        """SIGINT to the sweep's process group mid-run, as Ctrl-C sends it:
+        the parent alone reports it, in one line with status 130, and no
+        process of the group is left."""
+        config = tmp_path / "long.ini"
+        long = TINY_INI.replace("trials = 2", "trials = 2000")
+        config.write_text(long.replace("arms = scratch, transfer", "arms = scratch"))
+        out = tmp_path / "out"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--workers", workers]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pairbag.cli", *argv], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            time.sleep(1.0)
+            deadline = time.monotonic() + 30
+            # With two workers, the signal is sent once both of them run.
+            while workers == "2" and len(_children(proc.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert proc.poll() is None, proc.communicate()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert not out.exists()
 
 
 class TestManifestErrors:
@@ -564,6 +612,28 @@ class TestConfigErrors:
         assert err.startswith("error: fine-tuning computes in float32"), err
         assert err.count("\n") == 1, err
         assert "separation" in err and "noise_scale" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "arms, prefix",
+        [("scratch", "error: arm scratch, "), ("scratch, transfer", "error: pretraining ")],
+    )
+    def test_first_step_past_float32_range_names_float32(
+        self, tmp_path, capsys, workers, arms, prefix
+    ):
+        """Pairs that fit float32 but overflow its range in the first step,
+        while the weights are still the bounded init, name float32 and the
+        keys to lower, whether fine-tuning or pretraining overflowed."""
+        path = tmp_path / "huge.ini"
+        text = TINY_INI.replace("separation = 6.0", "separation = 3e38")
+        path.write_text(text.replace("arms = scratch, transfer", f"arms = {arms}"))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "iteration 1: non-finite" in err and "float32" in err and "separation" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

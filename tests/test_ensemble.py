@@ -18,7 +18,7 @@ from pairbag.learner import (
     init_transfer,
 )
 from pairbag.optimize import TrainConfig
-from pairbag.partition import ChunkAssignment, assign_chunks, make_chunk_plan
+from pairbag.partition import ChunkAssignment, assign_chunks, base_training_set, make_chunk_plan
 
 
 def dataset(n_pos=6, n_neg=30, d=4, seed=1):
@@ -116,6 +116,19 @@ class TestTrainEnsemble:
             assert model.init_mode == "transfer"
             assert model.extractor_weights.tobytes() == pretrained.extractor_weights.tobytes()
         assert all(model.init_mode == "scratch" for model in scratch.models)
+
+    def test_on_member_gets_each_model_and_its_rows_in_member_order(self):
+        """The second argument is member i's D_i, which the leakage guard checks."""
+        ds = dataset()
+        draw = draw_k_shot(ds, 3, 0)
+        plan = make_chunk_plan(ds, 3, 1)
+        assignment = assign_chunks(plan, 4, 2)
+        seen = []
+        ens = train_ensemble(ds, draw, plan, assignment, TrainConfig(iterations=2),
+                             small_topology(ds.dim), on_member=lambda *args: seen.append(args))
+        assert [model for model, _ in seen] == list(ens.models)
+        for i, (_, rows) in enumerate(seen, start=1):
+            np.testing.assert_array_equal(rows, base_training_set(draw, plan, assignment, i))
 
 
 class TestPrediction:

@@ -328,13 +328,24 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape mismatch"):
             adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), TrainConfig(iterations=1))
 
-    def test_rejects_a_gradient_of_another_dtype(self):
-        """A float32 gradient would make numpy compute g * g and (1 - b1) * g
-        in float32 even into float64 moments: 1e-30 squares to 0."""
-        w, state = np.zeros(3), AdamState.zeros(3)
-        with pytest.raises(ValueError, match="dtype mismatch: weights float64, grad float32"):
-            adam_step(w, np.full(3, 1e-30, np.float32), state, TrainConfig(iterations=1))
-        assert state.t == 0 and not state.v.any()
+    def test_float32_gradient_gives_the_bytes_of_its_float64_widening(self):
+        """Over chained steps, a float32 gradient leaves the weight and moment
+        bytes of the same gradient widened to float64 first. Squared in
+        float32, its 1e-30 entry would round to 0 and leave v there at 0."""
+        rng = np.random.default_rng(34)
+        cfg = TrainConfig(iterations=1)
+        w = rng.standard_normal(64)
+        wide, state, wide_state = w.copy(), AdamState.zeros(64), AdamState.zeros(64)
+        for _ in range(10):
+            g = (rng.standard_normal(64) * 10.0 ** rng.uniform(-6, 2)).astype(np.float32)
+            g[0] = 1e-30
+            adam_step(w, g, state, cfg)
+            adam_step(wide, g.astype(np.float64), wide_state, cfg)
+            assert g[0] == np.float32(1e-30)
+        assert w.tobytes() == wide.tobytes()
+        assert state.m.tobytes() == wide_state.m.tobytes()
+        assert state.v.tobytes() == wide_state.v.tobytes()
+        assert state.v[0] > 0 and state.t == wide_state.t == 10
 
     def test_determinism(self):
         rng = np.random.default_rng(14)
